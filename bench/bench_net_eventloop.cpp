@@ -1,6 +1,6 @@
 // Ingest scaling of the async network plane (DESIGN.md §14): burst-drain
-// throughput of the classic blocking path (one socket, one recvmsg per
-// datagram -- flow::UdpCollectorTransport) against recvmmsg batch receive
+// throughput of the blocking path the plane replaced (one socket, one
+// recvmsg per datagram -- flow::UdpSocket) against recvmmsg batch receive
 // on one socket, and against the full plane shape of 4 SO_REUSEPORT
 // sockets drained by 4 wire threads. Every mode receives identical
 // 256-datagram bursts with zero kernel drops (a run that drops skips with
@@ -44,10 +44,10 @@ bool deadline_passed(std::chrono::steady_clock::time_point deadline) {
 }
 
 // ---------------------------------------------------------------------------
-// Reference: the classic single blocking-drain socket exactly as the seed
-// collector ran it -- one recvmsg per datagram through
-// UdpSocket::receive(), which allocates (and zeroes) a fresh 64 KiB
-// buffer for every datagram. This is the path the event plane replaced.
+// Reference: a single blocking-drain socket -- one recvmsg per datagram
+// through UdpSocket::receive(), which allocates (and zeroes) a fresh
+// 64 KiB buffer for every datagram. This is the path the event plane
+// replaced.
 
 void BM_BlockingDrainReference(benchmark::State& state) {
   auto socket = flow::UdpSocket::bind_loopback(0, kRcvbufRequest);
@@ -85,29 +85,32 @@ BENCHMARK(BM_BlockingDrainReference)->UseRealTime()->Unit(benchmark::kMicrosecon
 
 // ---------------------------------------------------------------------------
 // The same single socket drained through the allocation-free
-// receive_into() path (satellite of this plane): isolates the buffer-reuse
-// win from the syscall-batching win below.
+// receive_into() path with one reused 64 KiB buffer: isolates the
+// buffer-reuse win from the syscall-batching win below.
 
 void BM_ReceiveIntoSingleSocket(benchmark::State& state) {
-  auto transport = flow::UdpCollectorTransport::create(0, kRcvbufRequest);
+  auto socket = flow::UdpSocket::bind_loopback(0, kRcvbufRequest);
   auto client = flow::UdpSocket::bind_loopback(0);
-  if (!transport || !client) {
+  if (!socket || !client) {
     state.SkipWithError("could not bind loopback sockets");
     return;
   }
+  std::vector<std::uint8_t> scratch(65536);
   std::uint64_t received = 0;
   for (auto _ : state) {
     state.PauseTiming();
     for (std::size_t i = 0; i < kBurst; ++i) {
-      benchmark::DoNotOptimize(client->send_to(transport->port(), payload()));
+      benchmark::DoNotOptimize(client->send_to(socket->port(), payload()));
     }
     state.ResumeTiming();
     std::size_t got = 0;
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(2);
     while (got < kBurst) {
-      got += transport->drain([](std::span<const std::uint8_t>) {});
-      if (got < kBurst && deadline_passed(deadline)) {
+      if (socket->receive_into(scratch)) {
+        benchmark::DoNotOptimize(scratch.data());
+        ++got;
+      } else if (deadline_passed(deadline)) {
         state.SkipWithError("burst not fully delivered (kernel drop)");
         return;
       }
@@ -116,7 +119,7 @@ void BM_ReceiveIntoSingleSocket(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(received));
   state.counters["kernel_drops"] =
-      benchmark::Counter(static_cast<double>(transport->kernel_drops()));
+      benchmark::Counter(static_cast<double>(socket->kernel_drops()));
 }
 BENCHMARK(BM_ReceiveIntoSingleSocket)->UseRealTime()->Unit(benchmark::kMicrosecond);
 

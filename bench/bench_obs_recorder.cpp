@@ -15,6 +15,7 @@
 #include "bench_common.hpp"
 #include "flow/collector_daemon.hpp"
 #include "flow/ipfix.hpp"
+#include "flow/pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/recorder.hpp"
@@ -97,7 +98,7 @@ void BM_HistoryJsonExport(benchmark::State& state) {
 BENCHMARK(BM_HistoryJsonExport)->Unit(benchmark::kMicrosecond);
 
 /// One encoded day of IPFIX datagrams -- the ingest workload both profiler
-/// arms decode through CollectorDaemon.
+/// arms decode through flow::Collector into a SliceSpooler.
 const std::vector<std::vector<std::uint8_t>>& ingest_corpus() {
   static const std::vector<std::vector<std::uint8_t>> corpus = [] {
     const auto vp = synth::build_vantage(synth::VantagePointId::kIxpCe,
@@ -129,12 +130,15 @@ const std::vector<std::vector<std::uint8_t>>& ingest_corpus() {
 void run_ingest(benchmark::State& state) {
   std::size_t records = 0;
   for (auto _ : state) {
-    flow::CollectorDaemon daemon(
-        {.protocol = flow::ExportProtocol::kIpfix, .rotation_seconds = 900},
-        [](flow::TraceSlice&&) {});
-    for (const auto& datagram : ingest_corpus()) daemon.ingest(datagram);
-    daemon.flush();
-    records = daemon.records_spooled();
+    flow::SliceSpooler spooler(900, [](flow::TraceSlice&&) {});
+    flow::Collector collector(
+        flow::ExportProtocol::kIpfix,
+        flow::Collector::BatchSink([&](std::span<const flow::FlowRecord> batch) {
+          for (const flow::FlowRecord& r : batch) spooler.append(r);
+        }));
+    for (const auto& datagram : ingest_corpus()) collector.ingest(datagram);
+    spooler.flush();
+    records = spooler.records_spooled();
     benchmark::DoNotOptimize(records);
   }
   state.SetItemsProcessed(

@@ -8,10 +8,18 @@
 // analyst) only communicate through datagrams and trace files -- exactly
 // how they would be split across machines.
 //
-// With --shards N the collector runs on the sharded ingestion runtime
-// (src/runtime/): the drain loop stays a single wire thread, decode and
-// anonymization fan out to N worker shards keyed by export source, and
-// the engine's backpressure/drop counters are reported at the end.
+// The collector is runtime::ShardedCollectorDaemon fed by
+// runtime::WirePlane (src/net/eventloop/ + src/runtime/): epoll wire
+// threads batch-receive with recvmmsg straight into pooled arena buffers,
+// decode and anonymization run on worker shards keyed by export source,
+// and the daemon's arrival-ticket merge keeps the slices deterministic.
+// The defaults are one wire thread and one shard. --shards N fans decode
+// out to N shards; the engine's backpressure/drop counters are reported
+// at the end. --wire-threads N opens N SO_REUSEPORT sockets, each drained
+// by its own wire thread, and also defaults to N shards when --shards is
+// absent. The exporter opens one sender socket per observation domain so
+// the kernel's 4-tuple hash actually spreads the stream across the lanes.
+// Every lane and shard count spools byte-identical slices.
 //
 // With --metrics the collector binds its counters into an obs::Registry:
 // a snapshot line is printed periodically while the stream runs, and the
@@ -20,15 +28,6 @@
 // With --gen-threads N the exporter synthesizes its flow stream on N
 // worker threads; the delivered stream (and thus every datagram) is
 // byte-identical to the single-threaded one.
-//
-// With --wire-threads N the collector ingests through the async network
-// plane (src/net/eventloop/ + runtime::WirePlane): N SO_REUSEPORT sockets,
-// each drained by its own epoll wire thread with recvmmsg batches straight
-// into pooled arena buffers, merged back into deterministic slices by the
-// daemon's arrival-ticket order. Implies the sharded runtime (defaults to
-// N worker shards when --shards is absent). The exporter side opens one
-// sender socket per observation domain so the kernel's 4-tuple hash
-// actually spreads the stream across the lanes.
 //
 // With --listen PORT the process becomes an inspectable service: an HTTP
 // exposer serves GET /metrics (live Prometheus text), GET /healthz (shard
@@ -122,8 +121,8 @@ using namespace lockdown;
 int main(int argc, char** argv) {
   std::filesystem::path out_dir =
       std::filesystem::temp_directory_path() / "lockdown_slices";
-  std::size_t shards = 0;  // 0 = classic single-threaded daemon
-  std::size_t wire_threads = 0;  // 0 = inline drain on the ship loop
+  std::optional<std::size_t> shards;  // unset = one per wire thread
+  std::size_t wire_threads = 1;
   std::size_t gen_threads = 1;
   bool metrics_enabled = false;
   int listen_port = -1;  // -1 = no exposer
@@ -223,8 +222,8 @@ int main(int argc, char** argv) {
 
   // --- Monitoring objects --------------------------------------------------
   // Compiled once at startup; route_batch then runs inside the collector's
-  // ingest path (on the worker shards when --shards is active, which is
-  // safe: the counters are commutative atomic sums).
+  // ingest path on the worker shards, which is safe: the counters are
+  // commutative atomic sums.
   filter::MonitorSet monitors(&registry.trie());
   try {
     for (const std::string& def : monitor_args) {
@@ -270,7 +269,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Streaming windows -----------------------------------------------------
-  // Declared after `monitors` (and before the daemons): the destructor
+  // Declared after `monitors` (and before the daemon): the destructor
   // detaches the per-object hooks, so it must run before MonitorSet's.
   std::optional<stream::StreamMonitor> streamer;
   std::optional<util::Table> window_table;
@@ -347,24 +346,6 @@ int main(int argc, char** argv) {
   }
 
   // --- Collector side ------------------------------------------------------
-  // --wire-threads runs on the async plane, which needs the sharded
-  // runtime's lane-ticket merge; default to one worker shard per lane.
-  if (wire_threads > 0 && shards == 0) shards = wire_threads;
-
-  // 1 MiB socket buffer: the wire thread shares a core with the exporter
-  // in this self-contained setup, so give the kernel room to queue. The
-  // async plane (--wire-threads) binds its own sockets instead.
-  std::optional<flow::UdpCollectorTransport> transport;
-  if (wire_threads == 0) {
-    transport = flow::UdpCollectorTransport::create(0, 1 << 20);
-    if (!transport) {
-      std::cerr << "error: cannot bind a loopback UDP socket\n";
-      return 1;
-    }
-    std::cout << "collector listening on 127.0.0.1:" << transport->port()
-              << " (rcvbuf " << transport->rcvbuf_bytes() << " bytes)\n";
-  }
-
   const flow::Anonymizer anonymizer({0x10cd0ULL, 0xeffec7ULL},
                                     flow::AnonymizationMode::kPrefixPreserving);
   std::vector<std::filesystem::path> slice_paths;
@@ -384,57 +365,39 @@ int main(int argc, char** argv) {
   flow::Collector::BatchSink monitor_sink;
   if (!monitors.empty()) monitor_sink = monitors.batch_sink();
 
-  std::optional<flow::CollectorDaemon> daemon;
-  std::optional<runtime::ShardedCollectorDaemon> sharded;
-  std::unique_ptr<runtime::WirePlane> plane;
-  if (shards > 0) {
-    std::cout << "sharded runtime: " << shards << " worker shards\n";
-    sharded.emplace(
-        runtime::ShardedDaemonConfig{.protocol = flow::ExportProtocol::kIpfix,
-                                     .shards = shards,
-                                     .rotation_seconds = 15 * 60,
-                                     .anonymizer = &anonymizer,
-                                     .wire_lanes =
-                                         wire_threads > 0 ? wire_threads : 1,
-                                     .metrics = metrics,
-                                     .batch_observer = monitor_sink},
-        slice_sink);
-  } else {
-    daemon.emplace(
-        flow::CollectorDaemonConfig{.protocol = flow::ExportProtocol::kIpfix,
-                                    .rotation_seconds = 15 * 60,
-                                    .anonymizer = &anonymizer,
-                                    .metrics = metrics,
-                                    .batch_observer = monitor_sink},
-        slice_sink);
-  }
-  const auto ingest = [&](std::span<const std::uint8_t> d) {
-    if (sharded) {
-      sharded->ingest(d);
-    } else {
-      daemon->ingest(d);
-    }
-  };
+  runtime::ShardedCollectorDaemon daemon(
+      runtime::ShardedDaemonConfig{.protocol = flow::ExportProtocol::kIpfix,
+                                   .shards = shards.value_or(wire_threads),
+                                   .rotation_seconds = 15 * 60,
+                                   .anonymizer = &anonymizer,
+                                   .wire_lanes = wire_threads,
+                                   .metrics = metrics,
+                                   .batch_observer = monitor_sink},
+      slice_sink);
 
-  if (wire_threads > 0) {
-    runtime::WirePlaneConfig pcfg;
-    pcfg.lanes = wire_threads;
-    pcfg.metrics = metrics;
-    plane = runtime::WirePlane::create(pcfg, *sharded);
-    if (!plane) {
-      std::cerr << "error: cannot bind the wire-plane sockets\n";
-      return 1;
-    }
-    std::cout << "async wire plane on 127.0.0.1:" << plane->port() << " ("
-              << plane->lanes() << " epoll lane(s), "
-              << (plane->reuseport_active() ? "SO_REUSEPORT"
-                                            : "single socket fallback")
-              << ", "
-              << (net::UdpBatchSocket::batch_receive_supported()
-                      ? "recvmmsg"
-                      : "recvmsg fallback")
-              << ")\n";
+  // 1 MiB socket buffer per lane (the plane's default request): the wire
+  // threads share cores with the exporter in this self-contained setup,
+  // so give the kernel room to queue.
+  runtime::WirePlaneConfig pcfg;
+  pcfg.lanes = wire_threads;
+  pcfg.metrics = metrics;
+  const std::unique_ptr<runtime::WirePlane> plane =
+      runtime::WirePlane::create(pcfg, daemon);
+  if (!plane) {
+    std::cerr << "error: cannot bind the wire-plane sockets\n";
+    return 1;
   }
+  std::cout << "collector listening on 127.0.0.1:" << plane->port()
+            << " (rcvbuf " << plane->rcvbuf_bytes() << " bytes, "
+            << plane->lanes() << " epoll lane(s), "
+            << (plane->reuseport_active() ? "SO_REUSEPORT"
+                                          : "single socket")
+            << ", "
+            << (net::UdpBatchSocket::batch_receive_supported()
+                    ? "recvmmsg"
+                    : "recvmsg fallback")
+            << ", " << daemon.engine_snapshot().shards.size()
+            << " worker shard(s))\n";
 
   // --- Observability endpoint ----------------------------------------------
   // The health and scrape callbacks run on the exposer's listener thread
@@ -447,36 +410,30 @@ int main(int argc, char** argv) {
     cfg.port = static_cast<std::uint16_t>(listen_port);
     cfg.registry = &obs_registry;
     cfg.health = [&]() {
-      std::string j = "{\"status\":\"ok\",\"mode\":\"";
-      j += sharded ? "sharded" : "single";
-      j += '"';
-      if (sharded) {
-        const runtime::EngineSnapshot e = sharded->engine_snapshot();
-        j += ",\"wire_datagrams\":" + std::to_string(e.wire_datagrams);
-        j += ",\"records\":" + std::to_string(e.records);
-        j += ",\"sequence_lost\":" + std::to_string(e.sequence_lost);
-        j += ",\"ring_dropped\":" + std::to_string(e.dropped);
-        j += ",\"queue_high_water\":" + std::to_string(e.queue_high_water);
-        if (plane) {
-          j += ",\"wire_plane\":{\"lanes\":" + std::to_string(plane->lanes());
-          j += ",\"reuseport\":";
-          j += plane->reuseport_active() ? "true" : "false";
-          j += ",\"datagrams\":" + std::to_string(plane->datagrams());
-          j += ",\"kernel_drops\":" + std::to_string(plane->kernel_drops());
-          j += ",\"truncated\":" + std::to_string(plane->truncated());
-          j += '}';
-        }
-        j += ",\"shards\":[";
-        for (std::size_t i = 0; i < e.shards.size(); ++i) {
-          if (i > 0) j += ',';
-          j += "{\"datagrams\":" + std::to_string(e.shards[i].datagrams);
-          j += ",\"records\":" + std::to_string(e.shards[i].records);
-          j += ",\"queue_high_water\":" +
-               std::to_string(e.shards[i].queue_high_water);
-          j += '}';
-        }
-        j += ']';
+      const runtime::EngineSnapshot e = daemon.engine_snapshot();
+      std::string j = "{\"status\":\"ok\"";
+      j += ",\"wire_datagrams\":" + std::to_string(e.wire_datagrams);
+      j += ",\"records\":" + std::to_string(e.records);
+      j += ",\"sequence_lost\":" + std::to_string(e.sequence_lost);
+      j += ",\"ring_dropped\":" + std::to_string(e.dropped);
+      j += ",\"queue_high_water\":" + std::to_string(e.queue_high_water);
+      j += ",\"wire_plane\":{\"lanes\":" + std::to_string(plane->lanes());
+      j += ",\"reuseport\":";
+      j += plane->reuseport_active() ? "true" : "false";
+      j += ",\"datagrams\":" + std::to_string(plane->datagrams());
+      j += ",\"kernel_drops\":" + std::to_string(plane->kernel_drops());
+      j += ",\"truncated\":" + std::to_string(plane->truncated());
+      j += '}';
+      j += ",\"shards\":[";
+      for (std::size_t i = 0; i < e.shards.size(); ++i) {
+        if (i > 0) j += ',';
+        j += "{\"datagrams\":" + std::to_string(e.shards[i].datagrams);
+        j += ",\"records\":" + std::to_string(e.shards[i].records);
+        j += ",\"queue_high_water\":" +
+             std::to_string(e.shards[i].queue_high_water);
+        j += '}';
       }
+      j += ']';
       if (!monitors.empty()) {
         j += ",\"monitors\":[";
         bool first = true;
@@ -521,12 +478,9 @@ int main(int argc, char** argv) {
     };
     cfg.before_scrape = [&]() {
       obs::refresh_process_gauges(obs_registry);
-      if (sharded) {
-        runtime::publish_engine_snapshot(obs_registry,
-                                         sharded->engine_snapshot());
-        flow::publish_arena_stats(obs_registry, sharded->arena_stats());
-      }
-      if (plane) runtime::publish_wire_plane_stats(obs_registry, *plane);
+      runtime::publish_engine_snapshot(obs_registry, daemon.engine_snapshot());
+      flow::publish_arena_stats(obs_registry, daemon.arena_stats());
+      runtime::publish_wire_plane_stats(obs_registry, *plane);
     };
     if (recorder) cfg.recorder = &*recorder;
     cfg.profiler = &obs::CpuProfiler::instance();
@@ -544,15 +498,12 @@ int main(int argc, char** argv) {
   }
 
   // --- Exporter side ---------------------------------------------------------
-  // One sender socket per observation domain when the wire plane is up:
-  // SO_REUSEPORT distributes by 4-tuple hash, so distinct source ports are
-  // what actually spread the domains across the lanes. The classic path
-  // keeps its single socket (one FIFO queue either way).
-  const std::uint16_t collector_port =
-      plane ? plane->port() : transport->port();
+  // One sender socket per observation domain: SO_REUSEPORT distributes by
+  // 4-tuple hash, so distinct source ports are what actually spread the
+  // domains across the lanes.
   std::vector<flow::UdpExporterTransport> exporters;
-  for (std::size_t i = 0; i < (plane ? std::size_t{4} : std::size_t{1}); ++i) {
-    auto exporter = flow::UdpExporterTransport::create(collector_port);
+  for (std::size_t i = 0; i < 4; ++i) {
+    auto exporter = flow::UdpExporterTransport::create(plane->port());
     if (!exporter) {
       std::cerr << "error: cannot create the exporter socket\n";
       return 1;
@@ -605,14 +556,12 @@ int main(int argc, char** argv) {
                                         "error=\"bad_length\"," + l);
     // Pipeline freshness: wall-clock lag behind the newest wire arrival
     // whose batch fully left the pipeline (runtime/sharded_daemon.hpp).
-    if (sharded) {
-      const std::uint64_t mark = sharded->released_watermark_ns();
-      if (mark != 0) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.2f",
-                      static_cast<double>(obs::trace_now_ns() - mark) / 1e6);
-        std::cout << " wm_lag_ms=" << buf;
-      }
+    const std::uint64_t mark = daemon.released_watermark_ns();
+    if (mark != 0) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.2f",
+                    static_cast<double>(obs::trace_now_ns() - mark) / 1e6);
+      std::cout << " wm_lag_ms=" << buf;
     }
     if (recorder) {
       char buf[32];
@@ -629,44 +578,35 @@ int main(int argc, char** argv) {
     // could emit 1920-byte messages for IPv6-heavy chunks).
     packets.clear();
     flow::IpfixEncoder& encoder = encoders[next_encoder];
-    flow::UdpExporterTransport& exporter =
-        exporters[next_encoder % exporters.size()];
+    flow::UdpExporterTransport& exporter = exporters[next_encoder];
     next_encoder = (next_encoder + 1) % encoders.size();
     encoder.encode_batch(batch, flow::batch_export_time(batch), packets);
     for (std::size_t i = 0; i < packets.size(); ++i) {
       exporter.send(packets.packet(i));
     }
     batch.clear();
-    // Drain the wire as we go (single-threaded poll loop on this side);
-    // with --wire-threads the plane's lane threads ingest on their own.
-    if (transport) (void)transport->drain(ingest);
-    if (plane) {
-      // Delivery pacing keeps the demo deterministic: each ship targets
-      // one domain (one lane), and waiting for its tickets before the
-      // next ship makes the global arrival order equal the send order --
-      // so slices stay byte-identical to the classic daemon. Free-running
-      // deployments skip this and accept scheduler-dependent cross-source
-      // interleaving (per-source order is still kernel-guaranteed).
-      std::uint64_t on_wire = 0;
-      for (const auto& e : exporters) on_wire += e.sent() - e.dropped();
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(2);
-      while (sharded->engine_snapshot().wire_datagrams + plane->kernel_drops() <
-                 on_wire &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::yield();
-      }
+    // Delivery pacing keeps the demo deterministic: each ship targets one
+    // domain (one lane), and waiting for its tickets before the next ship
+    // makes the global arrival order equal the send order -- so slices are
+    // byte-identical for every lane and shard count. Free-running
+    // deployments skip this and accept scheduler-dependent cross-source
+    // interleaving (per-source order is still kernel-guaranteed).
+    std::uint64_t on_wire = 0;
+    for (const auto& e : exporters) on_wire += e.sent() - e.dropped();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (daemon.engine_snapshot().wire_datagrams + plane->kernel_drops() <
+               on_wire &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
     }
     // Completed windows are consumed here, on the owner thread; rotation
     // happened inside the ingest path without blocking it.
     if (streamer) (void)streamer->poll();
-    // Periodic observability heartbeat, the live analogue of a scrape. The
-    // classic kernel-drop gauge is published here because UdpSocket's
-    // kernel_drops() is maintained by this (the draining) thread; the
+    // Periodic observability heartbeat, the live analogue of a scrape; the
     // plane's counters are relaxed atomics, safe to publish live.
     if (metrics != nullptr && (++ships & 1023) == 0) {
-      if (transport) flow::publish_udp_stats(obs_registry, *transport);
-      if (plane) runtime::publish_wire_plane_stats(obs_registry, *plane);
+      runtime::publish_wire_plane_stats(obs_registry, *plane);
       metrics_line();
     }
   };
@@ -694,74 +634,48 @@ int main(int argc, char** argv) {
     datagrams_sent += exporter.sent();
     exporter_dropped += exporter.dropped();
   }
-  if (transport) {
-    for (int i = 0; i < 50; ++i) {  // drain any stragglers
-      (void)transport->drain(ingest);
-    }
+  // The lane threads ingest asynchronously: wait until everything the
+  // exporter put on the wire is either delivered or accounted as a kernel
+  // drop before tearing the plane down.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (daemon.engine_snapshot().wire_datagrams + plane->kernel_drops() <
+             datagrams_sent - exporter_dropped &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  if (plane) {
-    // The lane threads ingest asynchronously: wait until everything the
-    // exporter put on the wire is either delivered or accounted as a
-    // kernel drop before tearing the plane down.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (sharded->engine_snapshot().wire_datagrams + plane->kernel_drops() <
-               datagrams_sent - exporter_dropped &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    plane->stop();
-  }
+  plane->stop();
+  daemon.flush();
+  const flow::CollectorStats wire_stats = daemon.wire_stats();
 
-  flow::CollectorStats wire_stats;
-  std::size_t spooled = 0, slices = 0;
-  if (sharded) {
-    sharded->flush();
-    wire_stats = sharded->wire_stats();
-    spooled = sharded->records_spooled();
-    slices = sharded->slices_emitted();
-  } else {
-    daemon->flush();
-    wire_stats = daemon->wire_stats();
-    spooled = daemon->records_spooled();
-    slices = daemon->slices_emitted();
-  }
-
-  const std::uint64_t kernel_drops =
-      plane ? plane->kernel_drops() : transport->kernel_drops();
   std::cout << "  datagrams sent: " << datagrams_sent << " ("
-            << exporter_dropped << " dropped, " << kernel_drops
+            << exporter_dropped << " dropped, " << plane->kernel_drops()
             << " shed by the kernel)\n";
-  if (plane) {
-    const std::uint64_t syscalls = plane->syscalls();
-    std::cout << "  wire plane: " << plane->datagrams() << " datagrams over "
-              << plane->lanes() << " lane(s) in " << syscalls
-              << " receive syscalls";
-    if (syscalls > 0) {
-      std::cout << " (" << plane->datagrams() / syscalls
-                << " datagrams/syscall)";
-    }
-    std::cout << "\n";
+  const std::uint64_t syscalls = plane->syscalls();
+  std::cout << "  wire plane: " << plane->datagrams() << " datagrams over "
+            << plane->lanes() << " lane(s) in " << syscalls
+            << " receive syscalls";
+  if (syscalls > 0) {
+    std::cout << " (" << plane->datagrams() / syscalls << " datagrams/syscall)";
   }
-  std::cout << "  records spooled: " << spooled << " into " << slices
-            << " slices\n";
+  std::cout << "\n";
+  std::cout << "  records spooled: " << daemon.records_spooled() << " into "
+            << daemon.slices_emitted() << " slices\n";
   std::cout << "  malformed packets: " << wire_stats.malformed_packets << "\n";
   std::cout << "  export loss: " << wire_stats.sequence_lost
             << " records across " << wire_stats.sequence_gaps
             << " sequence gaps (" << wire_stats.sequence_resets
             << " exporter resets)\n";
-  if (sharded) {
-    const auto engine = sharded->engine_snapshot();
-    std::cout << "  engine: " << engine.dropped << " ring drops, queue high-water "
-              << engine.queue_high_water << "\n  per shard:";
-    for (std::size_t i = 0; i < engine.shards.size(); ++i) {
-      std::cout << " [" << i << "] " << engine.shards[i].records << " records";
-    }
-    std::cout << "\n";
-    if (metrics != nullptr) {
-      runtime::publish_engine_snapshot(obs_registry, engine);
-      flow::publish_arena_stats(obs_registry, sharded->arena_stats());
-    }
+  const auto engine = daemon.engine_snapshot();
+  std::cout << "  engine: " << engine.dropped << " ring drops, queue high-water "
+            << engine.queue_high_water << "\n  per shard:";
+  for (std::size_t i = 0; i < engine.shards.size(); ++i) {
+    std::cout << " [" << i << "] " << engine.shards[i].records << " records";
+  }
+  std::cout << "\n";
+  if (metrics != nullptr) {
+    runtime::publish_engine_snapshot(obs_registry, engine);
+    flow::publish_arena_stats(obs_registry, daemon.arena_stats());
   }
   if (!monitors.empty()) {
     std::cout << "  monitoring objects (flows / bytes / packets):\n";
@@ -800,8 +714,7 @@ int main(int argc, char** argv) {
     }
   }
   if (metrics != nullptr) {
-    if (transport) flow::publish_udp_stats(obs_registry, *transport);
-    if (plane) runtime::publish_wire_plane_stats(obs_registry, *plane);
+    runtime::publish_wire_plane_stats(obs_registry, *plane);
     obs::refresh_process_gauges(obs_registry);
     metrics_line();
     std::cout << "\n--- end-of-run metrics dump (Prometheus text format) ---\n"

@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "filter/monitor.hpp"
-#include "flow/collector_daemon.hpp"
 #include "flow/ipfix.hpp"
+#include "flow/pipeline.hpp"
 #include "net/civil_time.hpp"
 #include "stream/engine.hpp"
 #include "synth/as_registry.hpp"
@@ -85,13 +85,10 @@ int main(int argc, char** argv) {
       });
 
   // The deployment pipeline, in-process: IPFIX encode -> wire decode ->
-  // monitor routing -> window hooks. Slices are discarded; this demo is
-  // about the stream, not the spool.
-  flow::CollectorDaemon daemon(
-      {.protocol = flow::ExportProtocol::kIpfix,
-       .rotation_seconds = net::kSecondsPerDay,
-       .batch_observer = monitors.batch_sink()},
-      [](flow::TraceSlice&&) {});
+  // monitor routing -> window hooks. This demo is about the stream, not the
+  // spool, so the decoder feeds the monitoring objects directly.
+  flow::Collector collector(flow::ExportProtocol::kIpfix,
+                            monitors.batch_sink());
   flow::IpfixEncoder encoder(700);
   flow::PacketBatch packets;
   std::vector<flow::FlowRecord> batch;
@@ -101,7 +98,7 @@ int main(int argc, char** argv) {
     packets.clear();
     encoder.encode_batch(batch, flow::batch_export_time(batch), packets);
     for (std::size_t i = 0; i < packets.size(); ++i) {
-      daemon.ingest(packets.packet(i));
+      collector.ingest(packets.packet(i));
     }
     batch.clear();
     (void)streamer.poll();  // consume completed windows as we go
@@ -123,7 +120,6 @@ int main(int argc, char** argv) {
     if (batch.size() == 64) ship();
   });
   ship();
-  daemon.flush();
   streamer.flush();
   (void)streamer.poll();
 

@@ -7,11 +7,11 @@
 // Thread model: add()/bind_metrics()/unbind_metrics() are wiring-time and
 // single-threaded; route_batch() may then be called concurrently from any
 // number of threads (the sharded daemon's workers call it per shard batch).
-// Counters are relaxed atomics, so sharded totals equal the single-threaded
-// daemon's for any source mix -- sums are commutative.
+// Counters are relaxed atomics, so sharded totals equal a single decoder's
+// for any source mix -- sums are commutative.
 //
 // Sampler rescaling contract: the flow::sampler stages rescale
-// bytes/packets inside each surviving record (and the collector daemons
+// bytes/packets inside each surviving record (and the collector daemon
 // can do the same for header-announced intervals via rescale_sampled), so
 // those counters are rescaled by construction. Flow *counts* under 1-in-N
 // flow sampling are undercounted by N; set set_flow_scale(N) to rescale

@@ -1,9 +1,18 @@
 #include "flow/collector_daemon.hpp"
 
 #include <stdexcept>
-#include <string>
 
 namespace lockdown::flow {
+
+namespace {
+
+/// Single-writer increment: a relaxed load + store, never a locked RMW.
+void bump(std::atomic<std::size_t>& counter) noexcept {
+  counter.store(counter.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+}
+
+}  // namespace
 
 SliceSpooler::SliceSpooler(std::int64_t rotation_seconds, SliceSink sink)
     : rotation_seconds_(rotation_seconds), sink_(std::move(sink)) {
@@ -26,72 +35,26 @@ void SliceSpooler::append(const FlowRecord& record) {
   // Late records (older than the current window) are kept in the current
   // slice rather than reopening a shipped one -- same policy as nfcapd.
   writer_.append(record);
-  ++spooled_;
+  bump(spooled_);
+}
+
+void SliceSpooler::emit() {
+  TraceSlice slice;
+  slice.begin = *window_begin_;
+  slice.records = writer_.records_written();
+  slice.image = writer_.finish();
+  bump(slices_);
+  sink_(std::move(slice));
 }
 
 void SliceSpooler::rotate(net::Timestamp new_window_begin) {
-  if (writer_.records_written() > 0) {
-    TraceSlice slice;
-    slice.begin = *window_begin_;
-    slice.records = writer_.records_written();
-    slice.image = writer_.finish();
-    ++slices_;
-    sink_(std::move(slice));
-  }
+  if (writer_.records_written() > 0) emit();
   window_begin_ = new_window_begin;
 }
 
 void SliceSpooler::flush() {
-  if (writer_.records_written() > 0 && window_begin_) {
-    TraceSlice slice;
-    slice.begin = *window_begin_;
-    slice.records = writer_.records_written();
-    slice.image = writer_.finish();
-    ++slices_;
-    sink_(std::move(slice));
-  }
+  if (writer_.records_written() > 0 && window_begin_) emit();
   window_begin_.reset();
 }
-
-CollectorDaemon::CollectorDaemon(CollectorDaemonConfig config, SliceSink sink)
-    : spooler_(config.rotation_seconds, std::move(sink)),
-      metrics_(config.metrics != nullptr
-                   ? CollectorMetrics::bind(
-                         *config.metrics,
-                         std::string("protocol=\"") +
-                             protocol_label(config.protocol) + "\"")
-                   : CollectorMetrics{}),
-      stage_latency_(config.metrics != nullptr
-                         ? obs::StageLatency::bind(*config.metrics)
-                         : obs::StageLatency{}),
-      observer_(std::move(config.batch_observer)),
-      collector_(config.protocol,
-                 Collector::BatchSink([this](std::span<const FlowRecord> batch) {
-                   // Same watermark stages as the sharded runtime (decode
-                   // done at sink entry, route after the observer, spool
-                   // after the spooler took the batch), measured from the
-                   // ingest() stamp -- the single-threaded path has no
-                   // ticket reorder, so all three close back to back.
-                   const std::uint64_t arrival = obs::arrival_ns();
-                   obs::StageLatency::observe_since(stage_latency_.decode,
-                                                    arrival);
-                   if (observer_) observer_(batch);
-                   obs::StageLatency::observe_since(stage_latency_.route,
-                                                    arrival);
-                   for (const FlowRecord& r : batch) spooler_.append(r);
-                   obs::StageLatency::observe_since(stage_latency_.spool,
-                                                    arrival);
-                 }),
-                 config.anonymizer, config.rescale_sampled,
-                 config.metrics != nullptr ? &metrics_ : nullptr) {}
-
-void CollectorDaemon::ingest(std::span<const std::uint8_t> datagram,
-                             std::uint64_t arrival_ns) {
-  obs::set_arrival_ns(arrival_ns != 0 ? arrival_ns : obs::trace_now_ns());
-  collector_.ingest(datagram);
-  obs::set_arrival_ns(0);
-}
-
-void CollectorDaemon::flush() { spooler_.flush(); }
 
 }  // namespace lockdown::flow

@@ -1,49 +1,19 @@
-// Rotating flow collector: the long-running service a vantage point
-// actually deploys (nfcapd-style). Combines a wire decoder, optional
-// on-premise anonymization (the §2.1 ethics requirement), and time-based
-// trace-file rotation so analysis jobs can pick up completed slices.
-//
-// The daemon is transport-agnostic: feed it datagrams from
-// UdpCollectorTransport::drain, from a pcap replay, or from the in-memory
-// pipeline -- it only cares about bytes in, rotated trace images out.
+// Slice rotation for the collector (nfcapd-style): decoded records in,
+// completed trace slices out, so analysis jobs can pick up finished
+// windows while capture continues. runtime::ShardedCollectorDaemon owns
+// the deployed instance and appends on its wire lanes; offline replays
+// drive one directly behind a flow::Collector.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <span>
-#include <string>
 #include <vector>
 
-#include "flow/anonymizer.hpp"
-#include "flow/collector_metrics.hpp"
-#include "flow/pipeline.hpp"
 #include "flow/trace_file.hpp"
-#include "obs/watermark.hpp"
 
 namespace lockdown::flow {
-
-struct CollectorDaemonConfig {
-  ExportProtocol protocol = ExportProtocol::kIpfix;
-  /// Rotate when the current slice covers this many seconds of flow time
-  /// (nfcapd's default is 300s). Rotation is driven by record timestamps,
-  /// not the wall clock, so replays rotate identically to live capture.
-  std::int64_t rotation_seconds = 300;
-  /// Anonymize before spooling (nullptr = store raw).
-  const Anonymizer* anonymizer = nullptr;
-  /// Multiply per-record bytes/packets by the exporter-announced sampling
-  /// interval (v5 header / v9 options templates) on decode. Flow *counts*
-  /// stay unscaled -- rescale those with MonitorSet::set_flow_scale (the
-  /// sampler-rescaling contract in filter/monitor.hpp).
-  bool rescale_sampled = false;
-  /// When set, the daemon binds collector counters (labeled by protocol)
-  /// into this registry. Must outlive the daemon.
-  obs::Registry* metrics = nullptr;
-  /// Observes every decoded (and, when configured, anonymized) record
-  /// batch before it is spooled -- the monitoring-object routing hook
-  /// (filter::MonitorSet::batch_sink). Called on the ingest thread.
-  Collector::BatchSink batch_observer;
-};
 
 /// A completed trace slice.
 struct TraceSlice {
@@ -54,11 +24,11 @@ struct TraceSlice {
 
 using SliceSink = std::function<void(TraceSlice&&)>;
 
-/// The rotation engine on its own: decoded records in, completed trace
-/// slices out. Extracted from CollectorDaemon so other front-ends (the
-/// sharded runtime's daemon, replay tools) can reuse the exact nfcapd
-/// window policy without owning a wire decoder. Single-threaded: callers
-/// that decode on worker threads must serialize their appends.
+/// The rotation engine: rotate when the current slice covers
+/// `rotation_seconds` of flow time (nfcapd's default is 300 s). Rotation is
+/// driven by record timestamps, not the wall clock, so replays rotate
+/// identically to live capture. Single writer: append() and flush() must be
+/// serialized by the caller; the two counters may be read from any thread.
 class SliceSpooler {
  public:
   /// Throws std::invalid_argument on a non-positive rotation window.
@@ -70,55 +40,26 @@ class SliceSpooler {
   /// Flush the current partial slice (end of capture / shutdown).
   void flush();
 
-  [[nodiscard]] std::size_t slices_emitted() const noexcept { return slices_; }
-  [[nodiscard]] std::size_t records_spooled() const noexcept { return spooled_; }
+  [[nodiscard]] std::size_t slices_emitted() const noexcept {
+    return slices_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::size_t records_spooled() const noexcept {
+    return spooled_.load(std::memory_order_relaxed);
+  }
 
  private:
   void rotate(net::Timestamp new_window_begin);
+  void emit();
 
   std::int64_t rotation_seconds_;
   SliceSink sink_;
   TraceWriter writer_;
   std::optional<net::Timestamp> window_begin_;
-  std::size_t slices_ = 0;
-  std::size_t spooled_ = 0;
-};
-
-class CollectorDaemon {
- public:
-  using SliceSink = flow::SliceSink;
-
-  CollectorDaemon(CollectorDaemonConfig config, SliceSink sink);
-
-  /// Ingest one datagram from the wire. `arrival_ns` is the monotonic
-  /// (trace_now_ns) wire-arrival stamp for the pipeline latency
-  /// watermarks; 0 (the default) stamps "now".
-  void ingest(std::span<const std::uint8_t> datagram,
-              std::uint64_t arrival_ns = 0);
-
-  /// Flush the current partial slice (end of capture / shutdown).
-  void flush();
-
-  [[nodiscard]] const CollectorStats& wire_stats() const noexcept {
-    return collector_.stats();
-  }
-  [[nodiscard]] std::size_t slices_emitted() const noexcept {
-    return spooler_.slices_emitted();
-  }
-  [[nodiscard]] std::size_t records_spooled() const noexcept {
-    return spooler_.records_spooled();
-  }
-
- private:
-  SliceSpooler spooler_;
-  /// Bound against config.metrics (empty handles otherwise). Must precede
-  /// collector_, which keeps a pointer to it.
-  CollectorMetrics metrics_;
-  /// Per-stage latency histograms (null handles unless config.metrics is
-  /// set); observed from the batch sink, so must precede collector_.
-  obs::StageLatency stage_latency_;
-  Collector::BatchSink observer_;
-  Collector collector_;
+  // Single-writer counters: the writer bumps them with a relaxed load +
+  // store (no locked read-modify-write on the spool path), so readers on
+  // other threads see a recent value without a data race.
+  std::atomic<std::size_t> slices_{0};
+  std::atomic<std::size_t> spooled_{0};
 };
 
 }  // namespace lockdown::flow

@@ -10,9 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-
 namespace lockdown::flow {
 
 UdpSocket::~UdpSocket() {
@@ -139,43 +136,6 @@ void UdpExporterTransport::send(std::span<const std::uint8_t> packet) {
   } else {
     ++dropped_;  // best-effort, like real NetFlow over UDP
   }
-}
-
-std::optional<UdpCollectorTransport> UdpCollectorTransport::create(
-    std::uint16_t port, int rcvbuf_bytes) {
-  auto socket = UdpSocket::bind_loopback(port, rcvbuf_bytes);
-  if (!socket) return std::nullopt;
-  return UdpCollectorTransport(std::move(*socket));
-}
-
-std::size_t UdpCollectorTransport::drain(const Handler& handler) {
-  static const std::uint32_t span_id =
-      obs::Tracer::instance().intern("wire", "wire.drain");
-  const std::uint64_t t0 = obs::trace_now_ns();
-  std::size_t count = 0;
-  if (scratch_.empty()) scratch_.resize(65536);
-  while (const auto n = socket_.receive_into(scratch_)) {
-    handler(std::span<const std::uint8_t>(scratch_.data(), *n));
-    ++count;
-  }
-  // An empty drain is an idle poll; spamming those would wrap the ring and
-  // bury real work, so only batches that moved datagrams get a span.
-  if (count > 0) {
-    obs::Tracer::instance().emit(span_id, t0, obs::trace_now_ns(), count);
-  }
-  return count;
-}
-
-void publish_udp_stats(obs::Registry& registry,
-                       const UdpCollectorTransport& transport) {
-  registry
-      .gauge("collector_udp_kernel_drops", {},
-             "Datagrams dropped by the kernel receive queue (SO_RXQ_OVFL)")
-      .set(static_cast<double>(transport.kernel_drops()));
-  registry
-      .gauge("collector_udp_rcvbuf_bytes", {},
-             "Granted SO_RCVBUF size of the collector socket")
-      .set(static_cast<double>(transport.rcvbuf_bytes()));
 }
 
 }  // namespace lockdown::flow

@@ -1,28 +1,24 @@
-// Loopback UDP transport for exporter -> collector datagrams: the actual
-// on-the-wire path of every NetFlow/IPFIX deployment. The rest of this
-// repository uses the in-memory ExportPump for speed; this transport backs
-// the integration tests and examples that exercise real sockets, and is
-// what a production deployment of this collector would bind.
+// Loopback UDP sockets for exporter -> collector datagrams: the actual
+// on-the-wire path of every NetFlow/IPFIX deployment. The exporter side of
+// the examples, tests and benches sends through UdpExporterTransport; the
+// collector side receives through runtime::WirePlane's batch sockets
+// (net/eventloop/udp_batch_socket.hpp). UdpSocket's own receive calls are
+// the one-datagram-per-syscall reference those batch sockets are measured
+// against.
 //
 // Design notes (POSIX, IPv4 loopback):
-//  * RAII socket ownership; sockets are created non-blocking so a
-//    collector can be polled from a single thread without hanging;
+//  * RAII socket ownership; sockets are created non-blocking so a receiver
+//    can be polled from a single thread without hanging;
 //  * send is best-effort like real NetFlow (UDP: no retransmission);
 //    ENOBUFS/EAGAIN surface as counted drops, not exceptions;
-//  * receive drains everything currently queued and hands each datagram to
-//    the caller, preserving datagram boundaries (one recvfrom per packet).
+//  * receive preserves datagram boundaries (one recvmsg per datagram).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
-
-namespace lockdown::obs {
-class Registry;
-}
 
 namespace lockdown::flow {
 
@@ -110,42 +106,5 @@ class UdpExporterTransport {
   std::uint64_t sent_ = 0;
   std::uint64_t dropped_ = 0;
 };
-
-/// Collector-side receiver: drain whatever is queued into a handler.
-class UdpCollectorTransport {
- public:
-  using Handler = std::function<void(std::span<const std::uint8_t>)>;
-
-  /// `rcvbuf_bytes` as in UdpSocket::bind_loopback (0 = kernel default).
-  [[nodiscard]] static std::optional<UdpCollectorTransport> create(
-      std::uint16_t port = 0, int rcvbuf_bytes = 0);
-
-  [[nodiscard]] std::uint16_t port() const noexcept { return socket_.port(); }
-  [[nodiscard]] int rcvbuf_bytes() const noexcept { return socket_.rcvbuf_bytes(); }
-
-  /// Datagrams the kernel dropped before we could drain them (see
-  /// UdpSocket::kernel_drops).
-  [[nodiscard]] std::uint64_t kernel_drops() const noexcept {
-    return socket_.kernel_drops();
-  }
-
-  /// Process every currently queued datagram; returns how many were seen.
-  std::size_t drain(const Handler& handler);
-
- private:
-  explicit UdpCollectorTransport(UdpSocket socket) : socket_(std::move(socket)) {}
-  UdpSocket socket_;
-  /// Reused across drain() calls so the steady state receives without
-  /// touching the allocator (sized lazily to 64 KiB on first drain).
-  std::vector<std::uint8_t> scratch_;
-};
-
-/// Publish the transport's socket-level stats as registry gauges
-/// (`collector_udp_kernel_drops`, `collector_udp_rcvbuf_bytes`) so
-/// kernel-side losses show up in /metrics, not just in the stats struct.
-/// kernel_drops() is maintained by the draining thread, so call this from
-/// that thread (e.g. at heartbeat cadence), not from a scrape handler.
-void publish_udp_stats(obs::Registry& registry,
-                       const UdpCollectorTransport& transport);
 
 }  // namespace lockdown::flow

@@ -33,7 +33,7 @@ ShardedCollectorDaemon::ShardedCollectorDaemon(const ShardedDaemonConfig& config
                                      std::span<const flow::FlowRecord> batch) {
                  // Monitoring observers run on the worker, before the
                  // spool: counters are commutative sums, so totals match
-                 // the single-threaded daemon for any source mix.
+                 // a single decoder's for any source mix.
                  if (observer_) observer_(batch);
                  // Worker-thread-private until the boundary below.
                  std::vector<flow::FlowRecord>& pending = *pending_[shard];

@@ -1,9 +1,10 @@
-// Multi-threaded deployment shape of flow::CollectorDaemon: shard workers
-// decode and anonymize in parallel, while rotation and trace spooling stay
-// serial (a TraceWriter is inherently serial). Decoded records come back
-// from the workers as per-datagram batches; poll() moves them into the
-// SliceSpooler. This mirrors nfcapd's split between packet threads and the
-// file writer.
+// The collector daemon: shard workers decode and anonymize in parallel,
+// while rotation and trace spooling stay serial (a TraceWriter is
+// inherently serial). Decoded records come back from the workers as
+// per-datagram batches; poll() moves them into the SliceSpooler. This
+// mirrors nfcapd's split between packet threads and the file writer.
+// runtime::WirePlane feeds it from the sockets; with shards = 1 and one
+// wire lane it is the single-socket, single-decoder deployment.
 //
 // Ordering: arrival-ticket replay. Every accepted datagram draws a dense
 // global ticket at ingest (ShardedCollector linearizes the wire lanes
@@ -14,14 +15,14 @@
 // never gaps. poll() releases batches strictly in ticket order from a
 // reorder board, stopping at the first ticket still being decoded.
 //
-// With one wire lane the ticket sequence is exactly the wire order, so
-// slices are byte-identical to the single-threaded CollectorDaemon for ANY
-// input mix -- the PR-5 contract, unchanged. With N lanes the ticket order
-// is the linearized arrival order across the lanes' sockets: each lane's
-// own order (and therefore each export source's order, a source being
-// pinned to one SO_REUSEPORT queue) is preserved as a subsequence, and the
-// emitted slices equal what the classic daemon produces when fed the
-// datagrams in ticket order -- the determinism suite replays exactly that.
+// The contract: the emitted slices are byte-identical to one
+// flow::Collector feeding one SliceSpooler with the datagrams in ticket
+// order, for ANY input mix and shard count. With one wire lane the ticket
+// sequence is exactly the wire order. With N lanes it is the linearized
+// arrival order across the lanes' sockets: each lane's own order (and
+// therefore each export source's order, a source being pinned to one
+// SO_REUSEPORT queue) is preserved as a subsequence. The determinism
+// suites replay exactly that.
 //
 // The price is head-of-line buffering: records decoded behind a
 // still-busy earlier ticket wait on the board (the same bounded backlog
@@ -118,6 +119,7 @@ class ShardedCollectorDaemon {
   [[nodiscard]] std::size_t wire_lanes() const noexcept {
     return runtime_.wire_lanes();
   }
+  /// Spool counters: safe to read from any thread while the lanes spool.
   [[nodiscard]] std::size_t slices_emitted() const noexcept {
     return spooler_.slices_emitted();
   }

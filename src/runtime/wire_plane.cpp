@@ -56,6 +56,15 @@ std::uint64_t WirePlane::truncated() const noexcept {
   return total;
 }
 
+int WirePlane::rcvbuf_bytes() const noexcept {
+  int smallest = 0;
+  for (const auto& lane : lanes_) {
+    const int granted = lane->socket.rcvbuf_bytes();
+    if (smallest == 0 || granted < smallest) smallest = granted;
+  }
+  return smallest;
+}
+
 void WirePlane::stop() {
   if (stopped_.exchange(true)) return;
   for (auto& lane : lanes_) lane->loop.stop();
@@ -69,8 +78,8 @@ std::unique_ptr<WirePlane> WirePlane::create(const WirePlaneConfig& config,
   auto plane = std::unique_ptr<WirePlane>(new WirePlane());
   std::size_t want_lanes = std::max<std::size_t>(1, config.lanes);
   want_lanes = std::min(want_lanes, daemon.wire_lanes());
-  // Graceful degradation: no SO_REUSEPORT means one socket, one lane --
-  // the classic shape, still on the event loop.
+  // Graceful degradation: no SO_REUSEPORT means one socket, one lane,
+  // still on the event loop.
   plane->reuseport_active_ =
       want_lanes > 1 && net::UdpBatchSocket::reuseport_supported();
   if (!plane->reuseport_active_) want_lanes = 1;
@@ -190,16 +199,18 @@ std::unique_ptr<WirePlane> WirePlane::create(const WirePlaneConfig& config,
   return plane;
 }
 
-/// Publish the plane's socket-level stats on the registry: the same
-/// `collector_udp_*` series the classic single-socket path uses, plus the
-/// batching factor. Call from a heartbeat/scrape hook; counters are
-/// single-writer per lane but summing them racily is fine for gauges.
+/// Counters are single-writer per lane; summing them racily is fine for
+/// gauges.
 void publish_wire_plane_stats(obs::Registry& registry, const WirePlane& plane) {
   registry
       .gauge("collector_udp_kernel_drops", {},
              "Datagrams dropped by the kernel receive queues (SO_RXQ_OVFL), "
              "summed across wire-plane sockets")
       .set(static_cast<double>(plane.kernel_drops()));
+  registry
+      .gauge("collector_udp_rcvbuf_bytes", {},
+             "Granted SO_RCVBUF size, the smallest across wire-plane sockets")
+      .set(static_cast<double>(plane.rcvbuf_bytes()));
   registry
       .gauge("wire_plane_lanes", {},
              "Wire threads (reuseport sockets) in the event plane")

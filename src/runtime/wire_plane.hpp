@@ -12,16 +12,20 @@
 // share it; budget exhaustion re-queues the socket on the loop's ready
 // list.
 //
+// This is the collector's only ingest path: one lane is the single-socket
+// deployment, N lanes the scaled one, with the same watermark stages and
+// the same slices either way.
+//
 // Observability: per-lane epoll_wait batch-size histogram
 // (`eventloop_wait_batch`), receive batch-size histogram + live
 // datagrams-per-syscall gauge (`wire_datagrams_per_syscall` -- the
-// recvmmsg win at a glance), aggregated kernel-drop gauge across all
-// sockets (`collector_udp_kernel_drops`, same series the classic
-// single-socket path publishes), and TRACE_SPAN coverage for
-// wait/drain/dispatch on every lane thread.
+// recvmmsg win at a glance), the socket-level `collector_udp_*` gauges
+// (kernel drops summed across lane sockets, the smallest granted
+// SO_RCVBUF), and TRACE_SPAN coverage for wait/drain/dispatch on every
+// lane thread.
 //
 // Fallback: where SO_REUSEPORT is unavailable the plane runs one lane on a
-// classic socket (reuseport_active() reports the degradation); where
+// plain socket (reuseport_active() reports the degradation); where
 // recvmmsg is unavailable receive_batch degrades to one recvmsg per
 // datagram inside the same loop machinery.
 #pragma once
@@ -77,7 +81,7 @@ class WirePlane {
 
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
   [[nodiscard]] std::size_t lanes() const noexcept;
-  /// False when the plane degraded to a single classic socket.
+  /// False when the plane degraded to a single plain socket.
   [[nodiscard]] bool reuseport_active() const noexcept {
     return reuseport_active_;
   }
@@ -93,6 +97,9 @@ class WirePlane {
   [[nodiscard]] std::uint64_t kernel_drops() const noexcept;
   /// Datagrams that arrived longer than datagram_capacity.
   [[nodiscard]] std::uint64_t truncated() const noexcept;
+  /// The SO_RCVBUF the kernel granted, as the minimum across lane sockets
+  /// (the lane that overflows first). Linux doubles the request.
+  [[nodiscard]] int rcvbuf_bytes() const noexcept;
 
   /// Stop every loop and join the wire threads. Idempotent; the
   /// destructor calls it. The daemon is NOT flushed -- callers stop the
@@ -109,9 +116,9 @@ class WirePlane {
   std::atomic<bool> stopped_{false};
 };
 
-/// Publish the plane's socket-level stats as registry gauges: the same
-/// `collector_udp_kernel_drops` series the classic single-socket path
-/// publishes (aggregated across lane sockets), plus lane count, datagram
+/// Publish the plane's socket-level stats as registry gauges:
+/// `collector_udp_kernel_drops` (summed across lane sockets),
+/// `collector_udp_rcvbuf_bytes` (the smallest grant), lane count, datagram
 /// totals, truncations, and the live datagrams-per-syscall batching
 /// factor. Call from a heartbeat or before_scrape hook.
 void publish_wire_plane_stats(obs::Registry& registry, const WirePlane& plane);

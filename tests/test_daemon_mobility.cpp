@@ -1,12 +1,19 @@
-// Tests for the rotating collector daemon and the mobility-report model.
+// Tests for slice rotation (flow::SliceSpooler), the collector daemon's
+// on-premise anonymization, malformed-input accounting and end-to-end
+// spooling, and the mobility-report model.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "flow/collector_daemon.hpp"
+#include "flow/ipfix.hpp"
 #include "flow/netflow_v5.hpp"
+#include "runtime/sharded_daemon.hpp"
 #include "stats/ecdf.hpp"
 #include "synth/mobility.hpp"
 #include "synth/synthesizer.hpp"
 #include "synth/vantage.hpp"
+#include "wire_replay.hpp"
 
 namespace lockdown {
 namespace {
@@ -15,7 +22,7 @@ using net::Date;
 using net::TimeRange;
 using net::Timestamp;
 
-// --- CollectorDaemon ----------------------------------------------------------
+// --- Slice rotation -------------------------------------------------------------
 
 flow::FlowRecord record_at(Timestamp t, std::uint64_t bytes = 1000) {
   flow::FlowRecord r;
@@ -30,41 +37,98 @@ flow::FlowRecord record_at(Timestamp t, std::uint64_t bytes = 1000) {
   return r;
 }
 
-TEST(CollectorDaemon, RotatesByFlowTime) {
-  std::vector<flow::TraceSlice> slices;
-  flow::CollectorDaemon daemon(
-      {.protocol = flow::ExportProtocol::kNetflowV5, .rotation_seconds = 300},
-      [&](flow::TraceSlice&& s) { slices.push_back(std::move(s)); });
-
+TEST(SliceSpooler, RotatesByFlowTime) {
   // Three 5-minute windows of records, one record per minute, starting on
-  // a window boundary (100200 = 334 * 300).
+  // a window boundary (100200 = 334 * 300), decoded off the wire.
   flow::NetflowV5Encoder enc;
+  std::vector<std::vector<std::uint8_t>> datagrams;
   for (int minute = 0; minute < 15; ++minute) {
     const std::vector<flow::FlowRecord> batch = {
         record_at(Timestamp(100200 + minute * 60))};
-    for (const auto& pkt : enc.encode(batch, Timestamp(100200 + minute * 60 + 1))) {
-      daemon.ingest(pkt);
+    for (auto& pkt : enc.encode(batch, Timestamp(100200 + minute * 60 + 1))) {
+      datagrams.push_back(std::move(pkt));
     }
   }
-  daemon.flush();
+  const auto replay = test::replay_in_wire_order(
+      flow::ExportProtocol::kNetflowV5, 300, datagrams);
 
-  ASSERT_EQ(slices.size(), 3u);
-  for (const auto& slice : slices) {
+  ASSERT_EQ(replay.slices.size(), 3u);
+  for (const auto& slice : replay.slices) {
     EXPECT_EQ(slice.records, 5u);
     EXPECT_EQ(slice.begin.seconds() % 300, 0);  // aligned window
     const auto trace = flow::read_trace(slice.image);
     ASSERT_TRUE(trace);
     EXPECT_EQ(trace->records.size(), 5u);
   }
-  EXPECT_EQ(daemon.records_spooled(), 15u);
-  EXPECT_EQ(daemon.wire_stats().malformed_packets, 0u);
+  EXPECT_EQ(replay.records_spooled, 15u);
+  EXPECT_EQ(replay.stats.malformed_packets, 0u);
 }
 
-TEST(CollectorDaemon, AnonymizesBeforeSpooling) {
+TEST(SliceSpooler, FlushWithEmptyPartialSliceEmitsNothing) {
+  std::vector<flow::TraceSlice> slices;
+  flow::SliceSpooler spooler(
+      300, [&](flow::TraceSlice&& s) { slices.push_back(std::move(s)); });
+
+  // Nothing appended at all: flush must be a no-op, repeatedly.
+  spooler.flush();
+  spooler.flush();
+  EXPECT_EQ(slices.size(), 0u);
+  EXPECT_EQ(spooler.slices_emitted(), 0u);
+
+  // One full window then flush; a second flush after the slice shipped
+  // finds an empty partial and must not emit a ghost slice.
+  spooler.append(record_at(Timestamp(100200)));
+  spooler.flush();
+  ASSERT_EQ(slices.size(), 1u);
+  spooler.flush();
+  EXPECT_EQ(slices.size(), 1u);
+  EXPECT_EQ(spooler.slices_emitted(), 1u);
+}
+
+TEST(SliceSpooler, RecordExactlyOnRotationBoundaryOpensNewWindow) {
+  std::vector<flow::TraceSlice> slices;
+  flow::SliceSpooler spooler(
+      300, [&](flow::TraceSlice&& s) { slices.push_back(std::move(s)); });
+
+  // First record on an aligned boundary, second exactly one window later:
+  // the boundary record belongs to the *new* window (half-open windows),
+  // so the first slice must contain exactly the first record.
+  for (const std::int64_t t : {100200L, 100200L + 300L}) {
+    spooler.append(record_at(Timestamp(t)));
+  }
+  ASSERT_EQ(slices.size(), 1u);
+  EXPECT_EQ(slices[0].begin, Timestamp(100200));
+  EXPECT_EQ(slices[0].records, 1u);
+
+  spooler.flush();
+  ASSERT_EQ(slices.size(), 2u);
+  EXPECT_EQ(slices[1].begin, Timestamp(100200 + 300));
+  EXPECT_EQ(slices[1].records, 1u);
+  const auto trace = flow::read_trace(slices[1].image);
+  ASSERT_TRUE(trace);
+  ASSERT_EQ(trace->records.size(), 1u);
+  EXPECT_EQ(trace->records[0].first, Timestamp(100200 + 300));
+}
+
+TEST(SliceSpooler, RejectsBadRotationWindow) {
+  EXPECT_THROW(flow::SliceSpooler(0, [](flow::TraceSlice&&) {}),
+               std::invalid_argument);
+  // The daemon builds its spooler first, so it refuses before any worker
+  // starts.
+  EXPECT_THROW(runtime::ShardedCollectorDaemon({.rotation_seconds = 0},
+                                               [](flow::TraceSlice&&) {}),
+               std::invalid_argument);
+}
+
+// --- Collector daemon (one shard, one lane) -----------------------------------
+
+TEST(ShardedDaemon, AnonymizesBeforeSpooling) {
   const flow::Anonymizer anon({1, 2}, flow::AnonymizationMode::kFullHash);
   std::vector<flow::TraceSlice> slices;
-  flow::CollectorDaemon daemon(
-      {.protocol = flow::ExportProtocol::kNetflowV5, .rotation_seconds = 300,
+  runtime::ShardedCollectorDaemon daemon(
+      {.protocol = flow::ExportProtocol::kNetflowV5,
+       .shards = 1,
+       .rotation_seconds = 300,
        .anonymizer = &anon},
       [&](flow::TraceSlice&& s) { slices.push_back(std::move(s)); });
 
@@ -82,10 +146,12 @@ TEST(CollectorDaemon, AnonymizesBeforeSpooling) {
   EXPECT_EQ(trace->records[0].bytes, original.bytes);
 }
 
-TEST(CollectorDaemon, MalformedInputCountedNotSpooled) {
+TEST(ShardedDaemon, MalformedInputCountedNotSpooled) {
   std::vector<flow::TraceSlice> slices;
-  flow::CollectorDaemon daemon(
-      {.protocol = flow::ExportProtocol::kIpfix, .rotation_seconds = 60},
+  runtime::ShardedCollectorDaemon daemon(
+      {.protocol = flow::ExportProtocol::kIpfix,
+       .shards = 1,
+       .rotation_seconds = 60},
       [&](flow::TraceSlice&& s) { slices.push_back(std::move(s)); });
   const std::vector<std::uint8_t> junk = {9, 9, 9};
   daemon.ingest(junk);
@@ -95,96 +161,41 @@ TEST(CollectorDaemon, MalformedInputCountedNotSpooled) {
   EXPECT_EQ(daemon.records_spooled(), 0u);
 }
 
-TEST(CollectorDaemon, FlushWithEmptyPartialSliceEmitsNothing) {
-  std::vector<flow::TraceSlice> slices;
-  flow::CollectorDaemon daemon(
-      {.protocol = flow::ExportProtocol::kNetflowV5, .rotation_seconds = 300},
-      [&](flow::TraceSlice&& s) { slices.push_back(std::move(s)); });
-
-  // Nothing ingested at all: flush must be a no-op, repeatedly.
-  daemon.flush();
-  daemon.flush();
-  EXPECT_EQ(slices.size(), 0u);
-  EXPECT_EQ(daemon.slices_emitted(), 0u);
-
-  // One full window then flush; a second flush after the slice shipped
-  // finds an empty partial and must not emit a ghost slice.
-  flow::NetflowV5Encoder enc;
-  const std::vector<flow::FlowRecord> batch = {record_at(Timestamp(100200))};
-  for (const auto& pkt : enc.encode(batch, Timestamp(100201))) daemon.ingest(pkt);
-  daemon.flush();
-  ASSERT_EQ(slices.size(), 1u);
-  daemon.flush();
-  EXPECT_EQ(slices.size(), 1u);
-  EXPECT_EQ(daemon.slices_emitted(), 1u);
-}
-
-TEST(CollectorDaemon, RecordExactlyOnRotationBoundaryOpensNewWindow) {
-  std::vector<flow::TraceSlice> slices;
-  flow::CollectorDaemon daemon(
-      {.protocol = flow::ExportProtocol::kNetflowV5, .rotation_seconds = 300},
-      [&](flow::TraceSlice&& s) { slices.push_back(std::move(s)); });
-
-  // First record on an aligned boundary, second exactly one window later:
-  // the boundary record belongs to the *new* window (half-open windows),
-  // so the first slice must contain exactly the first record.
-  flow::NetflowV5Encoder enc;
-  for (const std::int64_t t : {100200L, 100200L + 300L}) {
-    const std::vector<flow::FlowRecord> batch = {record_at(Timestamp(t))};
-    for (const auto& pkt : enc.encode(batch, Timestamp(t + 1))) daemon.ingest(pkt);
-  }
-  ASSERT_EQ(slices.size(), 1u);
-  EXPECT_EQ(slices[0].begin, Timestamp(100200));
-  EXPECT_EQ(slices[0].records, 1u);
-
-  daemon.flush();
-  ASSERT_EQ(slices.size(), 2u);
-  EXPECT_EQ(slices[1].begin, Timestamp(100200 + 300));
-  EXPECT_EQ(slices[1].records, 1u);
-  const auto trace = flow::read_trace(slices[1].image);
-  ASSERT_TRUE(trace);
-  ASSERT_EQ(trace->records.size(), 1u);
-  EXPECT_EQ(trace->records[0].first, Timestamp(100200 + 300));
-}
-
-TEST(CollectorDaemon, RejectsBadRotationWindow) {
-  EXPECT_THROW(flow::CollectorDaemon({.rotation_seconds = 0},
-                                     [](flow::TraceSlice&&) {}),
-               std::invalid_argument);
-}
-
-TEST(CollectorDaemon, EndToEndWithSynthesizedIpfix) {
+TEST(ShardedDaemon, EndToEndWithSynthesizedIpfix) {
   const auto reg = synth::AsRegistry::create_default();
   const auto ixp = synth::build_vantage(synth::VantagePointId::kIxpCe, reg,
                                         {.seed = 3});
   const synth::FlowSynthesizer synth(ixp.model, reg, {.connections_per_hour = 200});
 
-  std::size_t sliced_records = 0;
-  std::vector<Timestamp> slice_starts;
-  flow::CollectorDaemon daemon(
-      {.protocol = flow::ExportProtocol::kIpfix, .rotation_seconds = 3600},
-      [&](flow::TraceSlice&& s) {
-        sliced_records += s.records;
-        slice_starts.push_back(s.begin);
-      });
-
   flow::IpfixEncoder encoder(1);
   std::vector<flow::FlowRecord> batch;
+  std::vector<std::vector<std::uint8_t>> corpus;
+  const auto ship = [&]() {
+    for (auto& m : encoder.encode(batch, flow::batch_export_time(batch))) {
+      corpus.push_back(std::move(m));
+    }
+    batch.clear();
+  };
   synth.synthesize(TimeRange{Timestamp::from_date(Date(2020, 3, 25), 0),
                              Timestamp::from_date(Date(2020, 3, 25), 4)},
                    [&](const flow::FlowRecord& r) {
                      batch.push_back(r);
-                     if (batch.size() == 64) {
-                       for (const auto& m :
-                            encoder.encode(batch, flow::batch_export_time(batch))) {
-                         daemon.ingest(m);
-                       }
-                       batch.clear();
-                     }
+                     if (batch.size() == 64) ship();
                    });
-  for (const auto& m : encoder.encode(batch, flow::batch_export_time(batch))) {
-    daemon.ingest(m);
-  }
+  ship();
+
+  std::size_t sliced_records = 0;
+  std::vector<Timestamp> slice_starts;
+  runtime::ShardedCollectorDaemon daemon(
+      {.protocol = flow::ExportProtocol::kIpfix,
+       .shards = 1,
+       .ring_capacity = corpus.size() + 1,  // lossless
+       .rotation_seconds = 3600},
+      [&](flow::TraceSlice&& s) {
+        sliced_records += s.records;
+        slice_starts.push_back(s.begin);
+      });
+  for (const auto& m : corpus) daemon.ingest(m);
   daemon.flush();
 
   EXPECT_EQ(sliced_records, daemon.records_spooled());

@@ -17,7 +17,6 @@
 #include "analysis/as_view.hpp"
 #include "analysis/table1_dsl.hpp"
 #include "filter/monitor.hpp"
-#include "flow/collector_daemon.hpp"
 #include "flow/ipfix.hpp"
 #include "flow/pipeline.hpp"
 #include "obs/metrics.hpp"
@@ -25,6 +24,7 @@
 #include "synth/as_registry.hpp"
 #include "synth/synthesizer.hpp"
 #include "synth/vantage.hpp"
+#include "wire_replay.hpp"
 
 namespace lockdown {
 namespace {
@@ -377,13 +377,8 @@ TEST(MonitorRouting, ShardedDaemonEqualsSingleThreaded) {
 
   filter::MonitorSet single_set(&registry.trie());
   add_scenario_monitors(single_set);
-  flow::CollectorDaemon single(
-      {.protocol = flow::ExportProtocol::kIpfix,
-       .rotation_seconds = 900,
-       .batch_observer = single_set.batch_sink()},
-      [](flow::TraceSlice&&) {});
-  for (const auto& datagram : corpus) single.ingest(datagram);
-  single.flush();
+  (void)test::replay_in_wire_order(flow::ExportProtocol::kIpfix, 900, corpus,
+                                   single_set.batch_sink());
 
   filter::MonitorSet sharded_set(&registry.trie());
   add_scenario_monitors(sharded_set);

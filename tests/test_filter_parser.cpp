@@ -4,6 +4,7 @@
 // always-false-conjunction diagnostics (DESIGN.md §12).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <variant>
 
@@ -99,6 +100,22 @@ struct RejectCase {
   std::uint32_t column;
   const char* message;  // exact detail() text
 };
+
+// The printed parameter becomes the test's ctest name (gtest_discover_tests
+// substitutes it for the index), so it must not depend on the addresses of
+// the string literals: gtest's default byte dump would make every build
+// register different names.
+void PrintTo(const RejectCase& c, std::ostream* os) {
+  *os << c.line << ':' << c.column << " \"";
+  for (const char* p = c.source; *p != '\0'; ++p) {
+    if (*p == '\n') {
+      *os << "\\n";
+    } else {
+      *os << *p;
+    }
+  }
+  *os << '"';
+}
 
 class FilterParserReject : public ::testing::TestWithParam<RejectCase> {};
 

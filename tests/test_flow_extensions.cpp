@@ -205,8 +205,21 @@ TEST(TraceFile, DiskRoundTrip) {
 
 // --- UDP transport ---------------------------------------------------------------
 
+/// Receive every queued datagram through UdpSocket::receive_into with one
+/// reused 64 KiB buffer (any UDP payload fits); returns how many arrived.
+template <typename Handler>
+std::size_t drain_socket(const UdpSocket& socket, Handler&& handler) {
+  std::vector<std::uint8_t> scratch(65536);
+  std::size_t count = 0;
+  while (const auto n = socket.receive_into(scratch)) {
+    handler(std::span<const std::uint8_t>(scratch.data(), *n));
+    ++count;
+  }
+  return count;
+}
+
 TEST(UdpTransport, LoopbackDatagramDelivery) {
-  auto collector = UdpCollectorTransport::create();
+  auto collector = UdpSocket::bind_loopback();
   ASSERT_TRUE(collector);
   ASSERT_NE(collector->port(), 0);
   auto exporter = UdpExporterTransport::create(collector->port());
@@ -222,7 +235,7 @@ TEST(UdpTransport, LoopbackDatagramDelivery) {
   std::vector<std::vector<std::uint8_t>> received;
   // Loopback delivery is immediate but give the kernel a few polls.
   for (int i = 0; i < 100 && received.size() < 2; ++i) {
-    (void)collector->drain([&](std::span<const std::uint8_t> d) {
+    (void)drain_socket(*collector, [&](std::span<const std::uint8_t> d) {
       received.emplace_back(d.begin(), d.end());
     });
   }
@@ -233,9 +246,9 @@ TEST(UdpTransport, LoopbackDatagramDelivery) {
 
 TEST(UdpTransport, NetflowOverRealSockets) {
   // Full path: synthesize -> encode v5 -> UDP loopback -> decode -> verify.
-  auto collector_transport = UdpCollectorTransport::create();
-  ASSERT_TRUE(collector_transport);
-  auto exporter_transport = UdpExporterTransport::create(collector_transport->port());
+  auto collector_socket = UdpSocket::bind_loopback();
+  ASSERT_TRUE(collector_socket);
+  auto exporter_transport = UdpExporterTransport::create(collector_socket->port());
   ASSERT_TRUE(exporter_transport);
 
   std::vector<FlowRecord> sent_records;
@@ -251,8 +264,9 @@ TEST(UdpTransport, NetflowOverRealSockets) {
   Collector collector(ExportProtocol::kNetflowV5,
                       [&](const FlowRecord& r) { got.push_back(r); });
   for (int i = 0; i < 200 && got.size() < sent_records.size(); ++i) {
-    (void)collector_transport->drain(
-        [&](std::span<const std::uint8_t> d) { collector.ingest(d); });
+    (void)drain_socket(*collector_socket, [&](std::span<const std::uint8_t> d) {
+      collector.ingest(d);
+    });
   }
   ASSERT_EQ(got.size(), sent_records.size());
   EXPECT_EQ(collector.stats().malformed_packets, 0u);
@@ -263,14 +277,16 @@ TEST(UdpTransport, NetflowOverRealSockets) {
 }
 
 TEST(UdpTransport, DrainOnEmptyQueueReturnsZero) {
-  auto collector = UdpCollectorTransport::create();
+  auto collector = UdpSocket::bind_loopback();
   ASSERT_TRUE(collector);
-  EXPECT_EQ(collector->drain([](std::span<const std::uint8_t>) {}), 0u);
+  std::vector<std::uint8_t> scratch(65536);
+  EXPECT_FALSE(collector->receive_into(scratch).has_value());
+  EXPECT_EQ(drain_socket(*collector, [](std::span<const std::uint8_t>) {}), 0u);
 }
 
 TEST(UdpTransport, ExplicitRcvbufIsGranted) {
   constexpr int kRequested = 1 << 18;
-  auto collector = UdpCollectorTransport::create(0, kRequested);
+  auto collector = UdpSocket::bind_loopback(0, kRequested);
   ASSERT_TRUE(collector);
   // Linux doubles the request for bookkeeping overhead; any platform must
   // grant at least what was asked for.
@@ -282,8 +298,10 @@ TEST(UdpTransport, ExplicitRcvbufIsGranted) {
 TEST(UdpTransport, KernelReceiveQueueDropsAreCounted) {
   // Tiny receive buffer + bursts larger than it: the kernel must shed
   // datagrams, and the collector must be able to see that it did (the
-  // receive-side analogue of the exporter's dropped() counter).
-  auto collector = UdpCollectorTransport::create(0, 4096);
+  // receive-side analogue of the exporter's dropped() counter). The
+  // blocking-drain reference bench relies on this counter to prove its
+  // bursts arrived whole.
+  auto collector = UdpSocket::bind_loopback(0, 4096);
   ASSERT_TRUE(collector);
   auto exporter = UdpExporterTransport::create(collector->port());
   ASSERT_TRUE(exporter);
@@ -295,7 +313,7 @@ TEST(UdpTransport, KernelReceiveQueueDropsAreCounted) {
   // *after* a drop report it.
   for (int round = 0; round < 4; ++round) {
     for (int i = 0; i < 64; ++i) exporter->send(payload);
-    received += collector->drain([](std::span<const std::uint8_t>) {});
+    received += drain_socket(*collector, [](std::span<const std::uint8_t>) {});
   }
   ASSERT_EQ(exporter->dropped(), 0u);
   ASSERT_LT(received, exporter->sent());

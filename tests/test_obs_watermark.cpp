@@ -1,5 +1,5 @@
 // Pipeline latency watermark tests (obs/watermark.hpp + the plumbing
-// through the collector daemons and the stream engine):
+// through the collector daemon and the stream engine):
 //
 //   PipelineWatermark  thread-local arrival stamps, the stage-latency
 //                      histograms, and the released-watermark monotonicity
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "filter/monitor.hpp"
-#include "flow/collector_daemon.hpp"
 #include "flow/ipfix.hpp"
 #include "flow/pipeline.hpp"
 #include "net/civil_time.hpp"
@@ -257,8 +256,10 @@ TEST(StreamWatermark, DelayedLaneMovesLatencyAndWatermarkSeries) {
     stream::StreamMonitor streamer(monitors,
                                    {.window = {.window_seconds = 3600}});
     streamer.bind_metrics(registry);
-    flow::CollectorDaemon daemon(
+    runtime::ShardedCollectorDaemon daemon(
         {.protocol = flow::ExportProtocol::kIpfix,
+         .shards = 1,
+         .ring_capacity = corpus.size() + 1,
          .rotation_seconds = net::kSecondsPerDay,
          .metrics = &registry,
          .batch_observer = monitors.batch_sink()},
@@ -266,7 +267,7 @@ TEST(StreamWatermark, DelayedLaneMovesLatencyAndWatermarkSeries) {
     for (const auto& datagram : corpus) {
       const std::uint64_t arrival =
           delay_ns == 0 ? 0 : obs::trace_now_ns() - delay_ns;
-      daemon.ingest(datagram, arrival);
+      (void)daemon.ingest_lane(0, datagram, arrival);
     }
     daemon.flush();
     streamer.flush();

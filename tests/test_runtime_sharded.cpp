@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "flow/anonymizer.hpp"
-#include "flow/collector_daemon.hpp"
 #include "flow/ipfix.hpp"
 #include "flow/netflow_v5.hpp"
 #include "flow/netflow_v9.hpp"
@@ -25,10 +24,13 @@
 #include "synth/as_registry.hpp"
 #include "synth/synthesizer.hpp"
 #include "synth/vantage.hpp"
+#include "wire_replay.hpp"
 
 namespace {
 
 using namespace lockdown;
+using test::expect_identical_slices;
+using test::replay_in_wire_order;
 
 // ---------------------------------------------------------------------------
 // SpscRing
@@ -344,12 +346,8 @@ TEST(ShardedDaemon, MatchesSingleThreadedDaemonOnSingleSourceStream) {
   std::span<const flow::FlowRecord> span(records);
   const auto corpus = encoder.encode(span, flow::batch_export_time(span));
 
-  std::vector<flow::TraceSlice> reference_slices;
-  flow::CollectorDaemon reference(
-      {.protocol = flow::ExportProtocol::kIpfix, .rotation_seconds = 900},
-      [&](flow::TraceSlice&& s) { reference_slices.push_back(std::move(s)); });
-  for (const auto& datagram : corpus) reference.ingest(datagram);
-  reference.flush();
+  const auto reference =
+      replay_in_wire_order(flow::ExportProtocol::kIpfix, 900, corpus);
 
   std::vector<flow::TraceSlice> sharded_slices;
   runtime::ShardedCollectorDaemon daemon(
@@ -361,14 +359,9 @@ TEST(ShardedDaemon, MatchesSingleThreadedDaemonOnSingleSourceStream) {
   for (const auto& datagram : corpus) daemon.ingest(datagram);
   daemon.flush();
 
-  EXPECT_EQ(daemon.records_spooled(), reference.records_spooled());
-  EXPECT_EQ(daemon.slices_emitted(), reference.slices_emitted());
-  ASSERT_EQ(sharded_slices.size(), reference_slices.size());
-  for (std::size_t i = 0; i < reference_slices.size(); ++i) {
-    EXPECT_EQ(sharded_slices[i].begin, reference_slices[i].begin);
-    EXPECT_EQ(sharded_slices[i].records, reference_slices[i].records);
-    EXPECT_EQ(sharded_slices[i].image, reference_slices[i].image);
-  }
+  EXPECT_EQ(daemon.records_spooled(), reference.records_spooled);
+  EXPECT_EQ(daemon.slices_emitted(), reference.slices.size());
+  expect_identical_slices(sharded_slices, reference.slices);
   EXPECT_EQ(daemon.wire_stats().records, records.size());
   EXPECT_EQ(daemon.engine_snapshot().dropped, 0u);
 }
@@ -393,17 +386,13 @@ TEST(ShardedDaemon, MultiSourceStreamSpoolsEveryRecord) {
 // The wire-order merge contract: even when sources interleave across
 // shards, poll() releases per-datagram batches in the order the wire
 // thread accepted them, so the sharded daemon's slices are byte-identical
-// to the single-threaded daemon's -- not just the same multiset.
+// to a single-threaded wire-order replay's -- not just the same multiset.
 TEST(ShardedDaemon, MatchesSingleThreadedDaemonOnMultiSourceStream) {
   const auto records = synthesize_records(2);
   const auto corpus = multi_source_corpus(records, 7);
 
-  std::vector<flow::TraceSlice> reference_slices;
-  flow::CollectorDaemon reference(
-      {.protocol = flow::ExportProtocol::kIpfix, .rotation_seconds = 900},
-      [&](flow::TraceSlice&& s) { reference_slices.push_back(std::move(s)); });
-  for (const auto& datagram : corpus) reference.ingest(datagram);
-  reference.flush();
+  const auto reference =
+      replay_in_wire_order(flow::ExportProtocol::kIpfix, 900, corpus);
 
   std::vector<flow::TraceSlice> sharded_slices;
   runtime::ShardedCollectorDaemon daemon(
@@ -415,13 +404,8 @@ TEST(ShardedDaemon, MatchesSingleThreadedDaemonOnMultiSourceStream) {
   for (const auto& datagram : corpus) daemon.ingest(datagram);
   daemon.flush();
 
-  EXPECT_EQ(daemon.records_spooled(), reference.records_spooled());
-  ASSERT_EQ(sharded_slices.size(), reference_slices.size());
-  for (std::size_t i = 0; i < reference_slices.size(); ++i) {
-    EXPECT_EQ(sharded_slices[i].begin, reference_slices[i].begin);
-    EXPECT_EQ(sharded_slices[i].records, reference_slices[i].records);
-    EXPECT_EQ(sharded_slices[i].image, reference_slices[i].image);
-  }
+  EXPECT_EQ(daemon.records_spooled(), reference.records_spooled);
+  expect_identical_slices(sharded_slices, reference.slices);
   EXPECT_EQ(daemon.engine_snapshot().dropped, 0u);
 }
 

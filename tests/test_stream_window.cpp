@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "filter/monitor.hpp"
-#include "flow/collector_daemon.hpp"
 #include "flow/ipfix.hpp"
+#include "flow/pipeline.hpp"
 #include "net/civil_time.hpp"
 #include "obs/metrics.hpp"
 #include "stream/engine.hpp"
@@ -653,10 +653,8 @@ TEST(StreamLockdownShift, OnlineDetectorMatchesOfflineBaselineWithinOneWindow) {
       });
 
   // Online: IPFIX encode -> wire decode -> route_batch -> window hooks.
-  flow::CollectorDaemon daemon({.protocol = flow::ExportProtocol::kIpfix,
-                                .rotation_seconds = net::kSecondsPerDay,
-                                .batch_observer = monitors.batch_sink()},
-                               [](flow::TraceSlice&&) {});
+  flow::Collector collector(flow::ExportProtocol::kIpfix,
+                            monitors.batch_sink());
   flow::IpfixEncoder encoder(700);
   flow::PacketBatch packets;
   std::vector<FlowRecord> batch;
@@ -666,7 +664,7 @@ TEST(StreamLockdownShift, OnlineDetectorMatchesOfflineBaselineWithinOneWindow) {
     packets.clear();
     encoder.encode_batch(batch, flow::batch_export_time(batch), packets);
     for (std::size_t i = 0; i < packets.size(); ++i) {
-      daemon.ingest(packets.packet(i));
+      collector.ingest(packets.packet(i));
     }
     batch.clear();
     (void)streamer.poll();
@@ -679,7 +677,6 @@ TEST(StreamLockdownShift, OnlineDetectorMatchesOfflineBaselineWithinOneWindow) {
     if (batch.size() == 64) ship();
   });
   ship();
-  daemon.flush();
   streamer.flush();
   (void)streamer.poll();
 

@@ -1,10 +1,12 @@
 // Tests of the multi-socket wire plane and the arrival-ticket determinism
 // contract: N concurrent wire lanes must produce slices byte-identical to
-// the classic single-threaded CollectorDaemon fed the same datagrams in
-// ticket order, and the real-socket plane must account for every datagram
-// (delivered or kernel-dropped). The ThreadSanitizer CI job gates these.
+// a single decoder + spooler replaying the same datagrams in ticket order
+// (wire_replay.hpp), and the real-socket plane must account for every
+// datagram (delivered or kernel-dropped). The ThreadSanitizer CI job gates
+// these.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
@@ -13,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "flow/collector_daemon.hpp"
 #include "flow/ipfix.hpp"
 #include "flow/udp_transport.hpp"
 #include "net/eventloop/udp_batch_socket.hpp"
@@ -23,10 +24,13 @@
 #include "synth/as_registry.hpp"
 #include "synth/synthesizer.hpp"
 #include "synth/vantage.hpp"
+#include "wire_replay.hpp"
 
 namespace {
 
 using namespace lockdown;
+using test::expect_identical_slices;
+using test::replay_in_wire_order;
 
 std::vector<flow::FlowRecord> synthesize_records(std::size_t hours) {
   const auto registry = synth::AsRegistry::create_default();
@@ -59,16 +63,6 @@ std::vector<std::vector<std::vector<std::uint8_t>>> per_source_corpus(
     out[s] = encoder.encode(slice, flow::batch_export_time(slice));
   }
   return out;
-}
-
-void expect_identical_slices(const std::vector<flow::TraceSlice>& got,
-                             const std::vector<flow::TraceSlice>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].begin, want[i].begin) << "slice " << i;
-    EXPECT_EQ(got[i].records, want[i].records) << "slice " << i;
-    EXPECT_EQ(got[i].image, want[i].image) << "slice " << i;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -130,17 +124,17 @@ TEST(TicketMerge, ConcurrentLanesMatchClassicDaemonReplayedInTicketOrder) {
     ASSERT_EQ(journal[i].first, i) << "ticket sequence has a gap";
   }
 
-  // The classic daemon fed the datagrams in ticket order must emit
-  // byte-identical slices.
-  std::vector<flow::TraceSlice> reference_slices;
-  flow::CollectorDaemon reference(
-      {.protocol = flow::ExportProtocol::kIpfix, .rotation_seconds = 900},
-      [&](flow::TraceSlice&& s) { reference_slices.push_back(std::move(s)); });
-  for (const auto& [ticket, datagram] : journal) reference.ingest(datagram);
-  reference.flush();
+  // One decoder fed the datagrams in ticket order must emit byte-identical
+  // slices.
+  std::vector<std::vector<std::uint8_t>> in_ticket_order;
+  for (auto& [ticket, datagram] : journal) {
+    in_ticket_order.push_back(std::move(datagram));
+  }
+  const auto reference = replay_in_wire_order(flow::ExportProtocol::kIpfix,
+                                              900, in_ticket_order);
 
-  EXPECT_EQ(daemon.records_spooled(), reference.records_spooled());
-  expect_identical_slices(sharded_slices, reference_slices);
+  EXPECT_EQ(daemon.records_spooled(), reference.records_spooled);
+  expect_identical_slices(sharded_slices, reference.slices);
 }
 
 // ---------------------------------------------------------------------------
@@ -238,6 +232,11 @@ TEST(WirePlane, MultiLaneEndToEndCollectsEveryRecord) {
   // histograms registered per lane.
   publish_wire_plane_stats(registry, *plane);
   const std::string text = registry.expose_text();
+  EXPECT_GE(plane->rcvbuf_bytes(), 1 << 16) << "SO_RCVBUF grant missing";
+  EXPECT_NE(text.find("collector_udp_rcvbuf_bytes " +
+                      std::to_string(plane->rcvbuf_bytes()) + "\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("collector_udp_kernel_drops"), std::string::npos);
   EXPECT_NE(text.find("wire_plane_lanes"), std::string::npos);
   EXPECT_NE(text.find("wire_plane_datagrams"), std::string::npos);
   EXPECT_NE(text.find("wire_datagrams_per_syscall"), std::string::npos);
@@ -245,8 +244,8 @@ TEST(WirePlane, MultiLaneEndToEndCollectsEveryRecord) {
   EXPECT_NE(text.find("wire_receive_batch"), std::string::npos);
 }
 
-// One lane == exact wire order: the plane must reproduce the classic
-// daemon's slices byte for byte when one client's send order defines the
+// One lane == exact wire order: the plane must reproduce the wire-order
+// replay's slices byte for byte when one client's send order defines the
 // arrival order (loopback preserves per-socket ordering).
 TEST(WirePlane, SingleLaneMatchesClassicDaemonByteIdentical) {
   const auto records = synthesize_records(1);
@@ -255,12 +254,8 @@ TEST(WirePlane, SingleLaneMatchesClassicDaemonByteIdentical) {
   const auto corpus = encoder.encode(span, flow::batch_export_time(span));
   ASSERT_GT(corpus.size(), 10u);
 
-  std::vector<flow::TraceSlice> reference_slices;
-  flow::CollectorDaemon reference(
-      {.protocol = flow::ExportProtocol::kIpfix, .rotation_seconds = 900},
-      [&](flow::TraceSlice&& s) { reference_slices.push_back(std::move(s)); });
-  for (const auto& datagram : corpus) reference.ingest(datagram);
-  reference.flush();
+  const auto reference =
+      replay_in_wire_order(flow::ExportProtocol::kIpfix, 900, corpus);
 
   std::vector<flow::TraceSlice> plane_slices;
   runtime::ShardedCollectorDaemon daemon(
@@ -295,8 +290,72 @@ TEST(WirePlane, SingleLaneMatchesClassicDaemonByteIdentical) {
   daemon.flush();
   ASSERT_EQ(daemon.engine_snapshot().dropped, 0u);
 
-  EXPECT_EQ(daemon.records_spooled(), reference.records_spooled());
-  expect_identical_slices(plane_slices, reference_slices);
+  EXPECT_EQ(daemon.records_spooled(), reference.records_spooled);
+  expect_identical_slices(plane_slices, reference.slices);
+}
+
+// The spool counters are single-writer atomics: a reader thread (a
+// heartbeat, a scrape, a benchmark) may poll them while the wire lane
+// spools. ThreadSanitizer flags any unsynchronized access here.
+TEST(ShardedDaemon, RecordsSpooledReadableWhileSpooling) {
+  const auto records = synthesize_records(1);
+  flow::IpfixEncoder encoder(/*observation_domain=*/78);
+  std::span<const flow::FlowRecord> span(records);
+  const auto corpus = encoder.encode(span, flow::batch_export_time(span));
+
+  std::size_t slice_records = 0;
+  runtime::ShardedCollectorDaemon daemon(
+      {.protocol = flow::ExportProtocol::kIpfix,
+       .shards = 1,
+       .ring_capacity = corpus.size() + 1,
+       .rotation_seconds = 300,
+       .wire_lanes = 1},
+      [&](flow::TraceSlice&& s) { slice_records += s.records; });
+  runtime::WirePlaneConfig pc;
+  pc.lanes = 1;
+  pc.rcvbuf_bytes = 1 << 21;
+  auto plane = runtime::WirePlane::create(pc, daemon);
+  ASSERT_NE(plane, nullptr);
+  auto client = flow::UdpSocket::bind_loopback(0);
+  ASSERT_TRUE(client.has_value());
+
+  std::atomic<bool> done{false};
+  std::size_t reads = 0;
+  bool monotone = true;
+  std::thread reader([&] {
+    std::size_t last_records = 0, last_slices = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const std::size_t spooled = daemon.records_spooled();
+      const std::size_t slices = daemon.slices_emitted();
+      monotone = monotone && spooled >= last_records && slices >= last_slices;
+      last_records = spooled;
+      last_slices = slices;
+      ++reads;
+      std::this_thread::yield();
+    }
+  });
+
+  std::size_t sent = 0;
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    if (client->send_to(plane->port(), corpus[i])) ++sent;
+    if ((i & 63) == 63) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool all_arrived = wait_for_wire_datagrams(daemon, sent);
+  plane->stop();
+  daemon.flush();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_GT(reads, 0u);
+  EXPECT_TRUE(monotone) << "a spool counter went backwards";
+  if (!all_arrived) {
+    ASSERT_GT(plane->kernel_drops(), 0u)
+        << "datagrams lost without a kernel-drop record";
+    GTEST_SKIP() << "kernel dropped paced datagrams on this machine";
+  }
+  EXPECT_EQ(daemon.records_spooled(), records.size());
+  EXPECT_EQ(slice_records, records.size());
+  EXPECT_GT(daemon.slices_emitted(), 1u);
 }
 
 }  // namespace
