@@ -1,12 +1,10 @@
 // Substrate micro-benchmarks: the per-operation costs that determine how
 // far this pipeline scales -- LPM lookups, codec encode/decode, hashing,
-// anonymization, sketch updates. No figure to reproduce here; this is the
+// anonymization, synthesis. No figure to reproduce here; this is the
 // performance page of the library.
 #include "bench_common.hpp"
 #include "flow/anonymizer.hpp"
-#include "flow/metering.hpp"
 #include "net/prefix_trie.hpp"
-#include "stats/hyperloglog.hpp"
 #include "util/rng.hpp"
 #include "util/siphash.hpp"
 
@@ -62,17 +60,6 @@ void BM_Micro_AnonymizeV4(benchmark::State& state) {
 BENCHMARK(BM_Micro_AnonymizeV4)
     ->Arg(static_cast<int>(flow::AnonymizationMode::kFullHash))
     ->Arg(static_cast<int>(flow::AnonymizationMode::kPrefixPreserving));
-
-void BM_Micro_HllAdd(benchmark::State& state) {
-  stats::HyperLogLog hll(12);
-  std::uint64_t x = 0;
-  for (auto _ : state) {
-    hll.add_hash(util::splitmix64(x++));
-  }
-  benchmark::DoNotOptimize(hll.estimate());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_Micro_HllAdd);
 
 void BM_Micro_CodecEncodeDecode(benchmark::State& state) {
   const auto protocol = static_cast<flow::ExportProtocol>(state.range(0));

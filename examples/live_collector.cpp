@@ -82,9 +82,11 @@
 //                      [--mavg-ewma ALPHA]
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <optional>
@@ -117,6 +119,25 @@
 #include "util/table.hpp"
 
 using namespace lockdown;
+
+namespace {
+
+/// Write `size` bytes to `path`, replacing the file. Returns an empty
+/// string on success, else the strerror of the fopen, fwrite or fclose
+/// that failed (buffered write errors often surface only at fclose).
+std::string write_whole_file(const std::string& path, const void* data,
+                             std::size_t size) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return std::strerror(errno);
+  const bool wrote = std::fwrite(data, 1, size, f) == size;
+  const int write_errno = errno;
+  const bool closed = std::fclose(f) == 0;
+  if (!wrote) return std::strerror(write_errno);
+  if (!closed) return std::strerror(errno);
+  return {};
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   std::filesystem::path out_dir =
@@ -348,15 +369,20 @@ int main(int argc, char** argv) {
   // --- Collector side ------------------------------------------------------
   const flow::Anonymizer anonymizer({0x10cd0ULL, 0xeffec7ULL},
                                     flow::AnonymizationMode::kPrefixPreserving);
+  // The sink runs on a wire lane thread (serialized by the daemon's merge
+  // lock); failures are only collected here and reported once the plane
+  // has stopped.
   std::vector<std::filesystem::path> slice_paths;
+  std::vector<std::string> slice_errors;
   const auto slice_sink = [&](flow::TraceSlice&& slice) {
     const auto path =
         out_dir / ("slice-" + std::to_string(slice.begin.seconds()) + ".lft");
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f != nullptr) {
-      std::fwrite(slice.image.data(), 1, slice.image.size(), f);
-      std::fclose(f);
+    const std::string err =
+        write_whole_file(path.string(), slice.image.data(), slice.image.size());
+    if (err.empty()) {
       slice_paths.push_back(path);
+    } else {
+      slice_errors.push_back(path.string() + ": " + err);
     }
   };
 
@@ -661,6 +687,14 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   std::cout << "  records spooled: " << daemon.records_spooled() << " into "
             << daemon.slices_emitted() << " slices\n";
+  if (!slice_errors.empty()) {
+    for (const auto& err : slice_errors) {
+      std::cerr << "error: cannot write slice " << err << "\n";
+    }
+    std::cerr << "error: " << slice_errors.size() << " of "
+              << daemon.slices_emitted() << " slices not written\n";
+    return 1;
+  }
   std::cout << "  malformed packets: " << wire_stats.malformed_packets << "\n";
   std::cout << "  export loss: " << wire_stats.sequence_lost
             << " records across " << wire_stats.sequence_gaps
@@ -700,15 +734,14 @@ int main(int argc, char** argv) {
       std::cout << "\n";
     }
     if (window_table) {
-      std::FILE* f = std::fopen(window_csv_path.c_str(), "wb");
-      if (f == nullptr) {
+      const std::string csv = window_table->to_csv();
+      const std::string err =
+          write_whole_file(window_csv_path, csv.data(), csv.size());
+      if (!err.empty()) {
         std::cerr << "error: cannot write window CSV to " << window_csv_path
-                  << "\n";
+                  << ": " << err << "\n";
         return 1;
       }
-      const std::string csv = window_table->to_csv();
-      std::fwrite(csv.data(), 1, csv.size(), f);
-      std::fclose(f);
       std::cout << "  window CSV (" << window_table->rows() << " rows) -> "
                 << window_csv_path << "\n";
     }
@@ -741,14 +774,13 @@ int main(int argc, char** argv) {
               << recorder->series() << " series\n";
     if (!history_out.empty()) {
       const std::string csv = recorder->to_csv("*", 0);
-      std::FILE* f = std::fopen(history_out.c_str(), "wb");
-      if (f == nullptr) {
+      const std::string err =
+          write_whole_file(history_out, csv.data(), csv.size());
+      if (!err.empty()) {
         std::cerr << "error: cannot write history CSV to " << history_out
-                  << "\n";
+                  << ": " << err << "\n";
         return 1;
       }
-      std::fwrite(csv.data(), 1, csv.size(), f);
-      std::fclose(f);
       std::cout << "history CSV -> " << history_out << "\n";
     }
   }
@@ -815,13 +847,12 @@ int main(int argc, char** argv) {
   // ingest, shard decode, classification, and the encode side.
   if (!trace_out.empty()) {
     const std::string json = obs::Tracer::instance().chrome_json();
-    std::FILE* f = std::fopen(trace_out.c_str(), "wb");
-    if (f == nullptr) {
-      std::cerr << "error: cannot write trace to " << trace_out << "\n";
+    const std::string err = write_whole_file(trace_out, json.data(), json.size());
+    if (!err.empty()) {
+      std::cerr << "error: cannot write trace to " << trace_out << ": " << err
+                << "\n";
       return 1;
     }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
     std::cout << "span trace written to " << trace_out
               << " (load in Perfetto or chrome://tracing)\n";
   }

@@ -8,13 +8,14 @@
 // Demonstrates the persistence path real deployments use: collector spools
 // records to disk, analysis jobs read them back later -- no synthesizer or
 // scenario knowledge needed on the reading side.
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "flow/trace_file.hpp"
-#include "stats/space_saving.hpp"
 #include "synth/as_registry.hpp"
 #include "synth/synthesizer.hpp"
 #include "synth/vantage.hpp"
@@ -105,20 +106,34 @@ int cmd_info(const std::string& path) {
   return 0;
 }
 
+/// Exact per-key totals, largest first (ties broken by the larger key).
+template <typename Key>
+std::vector<std::pair<double, Key>> rank_by_total(
+    const std::map<Key, double>& totals) {
+  std::vector<std::pair<double, Key>> ranked;
+  for (const auto& [key, total] : totals) ranked.push_back({total, key});
+  std::sort(ranked.rbegin(), ranked.rend());
+  return ranked;
+}
+
 int cmd_top(const std::string& path, std::size_t n) {
   const auto trace = flow::read_trace_file(path);
   if (!trace) {
     std::cerr << "error: cannot read " << path << "\n";
     return 1;
   }
-  stats::SpaceSaving<flow::PortKey, flow::PortKeyHash> sketch(256);
+  std::map<flow::PortKey, double> per_port;
+  double total = 0;
   for (const auto& r : trace->records) {
-    sketch.add(r.service_port(), static_cast<double>(r.bytes));
+    per_port[r.service_port()] += static_cast<double>(r.bytes);
+    total += static_cast<double>(r.bytes);
   }
+  const auto ranked = rank_by_total(per_port);
   util::Table table({"port", "bytes", "share"});
-  for (const auto& e : sketch.top(n)) {
-    table.add_row({e.key.to_string(), util::format_bytes(e.count),
-                   util::format_fixed(100 * e.count / sketch.total_weight(), 1) + "%"});
+  for (std::size_t i = 0; i < std::min(n, ranked.size()); ++i) {
+    const auto& [bytes, port] = ranked[i];
+    table.add_row({port.to_string(), util::format_bytes(bytes),
+                   util::format_fixed(100 * bytes / total, 1) + "%"});
   }
   std::cout << table;
   return 0;
@@ -138,9 +153,7 @@ int cmd_hosts(const std::string& path, std::size_t n) {
     per_as[(dst_is_server ? r.dst_as : r.src_as).value()] +=
         static_cast<double>(r.bytes);
   }
-  std::vector<std::pair<double, std::uint32_t>> ranked;
-  for (const auto& [asn, b] : per_as) ranked.push_back({b, asn});
-  std::sort(ranked.rbegin(), ranked.rend());
+  const auto ranked = rank_by_total(per_as);
 
   util::Table table({"ASN", "organization", "bytes"});
   for (std::size_t i = 0; i < std::min(n, ranked.size()); ++i) {

@@ -52,12 +52,6 @@ struct PortKey {
   }
 };
 
-struct PortKeyHash {
-  [[nodiscard]] constexpr std::size_t operator()(const PortKey& k) const noexcept {
-    return (static_cast<std::size_t>(k.proto) << 16) | k.port;
-  }
-};
-
 /// One unidirectional flow.
 struct FlowRecord {
   net::IpAddress src_addr;

@@ -1,5 +1,5 @@
-// Tests for the flow-layer extensions: biflow stitching (RFC 5103 flavor),
-// the binary trace-file format, and the loopback UDP transport.
+// Tests for the flow-layer extensions: the binary trace-file format and the
+// loopback UDP transport.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>  // SO_RXQ_OVFL availability for the kernel-drop test
@@ -7,20 +7,15 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "flow/biflow.hpp"
 #include "flow/pipeline.hpp"
 #include "flow/trace_file.hpp"
 #include "flow/udp_transport.hpp"
-#include "synth/as_registry.hpp"
-#include "synth/synthesizer.hpp"
-#include "synth/vantage.hpp"
 #include "util/rng.hpp"
 
 namespace lockdown::flow {
 namespace {
 
 using net::Asn;
-using net::Date;
 using net::Ipv4Address;
 using net::Timestamp;
 
@@ -38,104 +33,6 @@ FlowRecord request_flow(std::uint64_t id, Timestamp t) {
   r.src_as = Asn(64700);
   r.dst_as = Asn(15169);
   return r;
-}
-
-FlowRecord reverse_of(const FlowRecord& r, std::uint64_t bytes) {
-  FlowRecord rev = r;
-  std::swap(rev.src_addr, rev.dst_addr);
-  std::swap(rev.src_port, rev.dst_port);
-  std::swap(rev.src_as, rev.dst_as);
-  rev.bytes = bytes;
-  return rev;
-}
-
-// --- BiflowStitcher ------------------------------------------------------------
-
-TEST(Biflow, PairsRequestAndResponse) {
-  std::vector<Biflow> out;
-  BiflowStitcher stitcher([&](const Biflow& b) { out.push_back(b); });
-
-  const auto req = request_flow(1, Timestamp(1000));
-  stitcher.add(req);
-  EXPECT_TRUE(out.empty());
-  stitcher.add(reverse_of(req, 90000));
-
-  ASSERT_EQ(out.size(), 1u);
-  const Biflow& b = out[0];
-  EXPECT_FALSE(b.one_sided);
-  EXPECT_EQ(b.client_addr, req.src_addr);
-  EXPECT_EQ(b.server_addr, req.dst_addr);
-  EXPECT_EQ(b.server_port, 443);
-  EXPECT_EQ(b.forward_bytes, 500u);
-  EXPECT_EQ(b.reverse_bytes, 90000u);
-  EXPECT_EQ(b.client_as, Asn(64700));
-  EXPECT_EQ(b.server_as, Asn(15169));
-  EXPECT_EQ(stitcher.paired(), 1u);
-  EXPECT_EQ(stitcher.pending(), 0u);
-}
-
-TEST(Biflow, OrientationIndependentOfArrivalOrder) {
-  std::vector<Biflow> out;
-  BiflowStitcher stitcher([&](const Biflow& b) { out.push_back(b); });
-  const auto req = request_flow(2, Timestamp(2000));
-  // Response first, request second.
-  stitcher.add(reverse_of(req, 7777));
-  stitcher.add(req);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].client_addr, req.src_addr);  // still client-oriented
-  EXPECT_EQ(out[0].reverse_bytes, 7777u);
-}
-
-TEST(Biflow, WindowPreventsCrossConnectionPairing) {
-  std::vector<Biflow> out;
-  BiflowStitcher stitcher([&](const Biflow& b) { out.push_back(b); }, 60);
-  const auto req = request_flow(3, Timestamp(1000));
-  auto late_rev = reverse_of(req, 100);
-  late_rev.first = Timestamp(1000 + 600);  // outside the 60s window
-  stitcher.add(req);
-  stitcher.add(late_rev);
-  EXPECT_EQ(stitcher.paired(), 0u);
-  stitcher.flush();
-  EXPECT_EQ(out.size(), 2u);
-  for (const auto& b : out) EXPECT_TRUE(b.one_sided);
-}
-
-TEST(Biflow, FlushEmitsOneSidedWithServerOrientation) {
-  std::vector<Biflow> out;
-  BiflowStitcher stitcher([&](const Biflow& b) { out.push_back(b); });
-  const auto req = request_flow(4, Timestamp(1000));
-  stitcher.add(reverse_of(req, 4242));  // lone response
-  stitcher.flush();
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_TRUE(out[0].one_sided);
-  // Even a lone response identifies the server on the low-port side.
-  EXPECT_EQ(out[0].server_port, 443);
-  EXPECT_EQ(out[0].reverse_bytes, 4242u);
-  EXPECT_EQ(out[0].forward_bytes, 0u);
-}
-
-TEST(Biflow, StitchesSynthesizedTrafficNearCompletely) {
-  // The synthesizer emits request+response per connection; nearly every
-  // record must pair up (active-timeout splits of giant flows may not).
-  const auto reg = synth::AsRegistry::create_default();
-  const auto isp = synth::build_vantage(synth::VantagePointId::kIspCe, reg,
-                                        {.seed = 42, .enterprise_transit = false});
-  const synth::FlowSynthesizer synth(isp.model, reg, {.connections_per_hour = 400});
-
-  std::size_t biflows = 0, one_sided = 0;
-  BiflowStitcher stitcher([&](const Biflow& b) {
-    ++biflows;
-    one_sided += b.one_sided ? 1 : 0;
-  });
-  std::size_t records = 0;
-  synth.synthesize(net::TimeRange::day_of(Date(2020, 3, 25)),
-                   [&](const FlowRecord& r) {
-                     ++records;
-                     stitcher.add(r);
-                   });
-  stitcher.flush();
-  EXPECT_GT(biflows, records / 3);
-  EXPECT_LT(static_cast<double>(one_sided) / biflows, 0.02);
 }
 
 // --- trace file -----------------------------------------------------------------
