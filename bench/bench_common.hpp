@@ -150,13 +150,19 @@ struct BenchJsonEntry {
 };
 
 /// Console output plus machine-readable collection: every iteration run
-/// that finishes without error is kept for write_bench_json().
+/// that finishes without error is kept for write_bench_json(), and so is
+/// every time-valued aggregate of --benchmark_repetitions (named
+/// `<series>_mean`, `_median`, `_stddev`).
 class JsonCollectingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
     benchmark::ConsoleReporter::ReportRuns(reports);
     for (const Run& run : reports) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
+      if (run.error_occurred) continue;
+      if (run.run_type == Run::RT_Aggregate &&
+          run.aggregate_unit != benchmark::kTime) {
+        continue;
+      }
       BenchJsonEntry e;
       e.name = run.benchmark_name();
       if (run.iterations > 0) {

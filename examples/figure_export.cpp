@@ -63,11 +63,16 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(out);
   const auto registry = synth::AsRegistry::create_default();
   std::size_t files = 0;
+  // A CSV that cannot be written fails the whole export: a partial
+  // figure set must not look like a complete one.
   auto emit = [&](const util::Table& table, const std::string& name) {
-    if (analysis::write_csv(table, (out / name).string())) {
-      std::cout << "  " << name << "  (" << table.rows() << " rows)\n";
-      ++files;
+    const std::string path = (out / name).string();
+    if (const std::string err = analysis::write_csv(table, path); !err.empty()) {
+      std::cerr << "error: cannot write " << path << ": " << err << "\n";
+      std::exit(1);
     }
+    std::cout << "  " << name << "  (" << table.rows() << " rows)\n";
+    ++files;
   };
 
   // --- Fig 1 -----------------------------------------------------------------

@@ -115,29 +115,11 @@
 #include "stream/engine.hpp"
 #include "synth/synthesizer.hpp"
 #include "synth/vantage.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
 using namespace lockdown;
-
-namespace {
-
-/// Write `size` bytes to `path`, replacing the file. Returns an empty
-/// string on success, else the strerror of the fopen, fwrite or fclose
-/// that failed (buffered write errors often surface only at fclose).
-std::string write_whole_file(const std::string& path, const void* data,
-                             std::size_t size) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return std::strerror(errno);
-  const bool wrote = std::fwrite(data, 1, size, f) == size;
-  const int write_errno = errno;
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote) return std::strerror(write_errno);
-  if (!closed) return std::strerror(errno);
-  return {};
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::filesystem::path out_dir =
@@ -378,7 +360,7 @@ int main(int argc, char** argv) {
     const auto path =
         out_dir / ("slice-" + std::to_string(slice.begin.seconds()) + ".lft");
     const std::string err =
-        write_whole_file(path.string(), slice.image.data(), slice.image.size());
+        util::write_whole_file(path.string(), slice.image.data(), slice.image.size());
     if (err.empty()) {
       slice_paths.push_back(path);
     } else {
@@ -736,7 +718,7 @@ int main(int argc, char** argv) {
     if (window_table) {
       const std::string csv = window_table->to_csv();
       const std::string err =
-          write_whole_file(window_csv_path, csv.data(), csv.size());
+          util::write_whole_file(window_csv_path, csv.data(), csv.size());
       if (!err.empty()) {
         std::cerr << "error: cannot write window CSV to " << window_csv_path
                   << ": " << err << "\n";
@@ -775,7 +757,7 @@ int main(int argc, char** argv) {
     if (!history_out.empty()) {
       const std::string csv = recorder->to_csv("*", 0);
       const std::string err =
-          write_whole_file(history_out, csv.data(), csv.size());
+          util::write_whole_file(history_out, csv.data(), csv.size());
       if (!err.empty()) {
         std::cerr << "error: cannot write history CSV to " << history_out
                   << ": " << err << "\n";
@@ -847,7 +829,7 @@ int main(int argc, char** argv) {
   // ingest, shard decode, classification, and the encode side.
   if (!trace_out.empty()) {
     const std::string json = obs::Tracer::instance().chrome_json();
-    const std::string err = write_whole_file(trace_out, json.data(), json.size());
+    const std::string err = util::write_whole_file(trace_out, json.data(), json.size());
     if (!err.empty()) {
       std::cerr << "error: cannot write trace to " << trace_out << ": " << err
                 << "\n";

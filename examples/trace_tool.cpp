@@ -69,8 +69,8 @@ int cmd_synth(int argc, char** argv) {
                      net::Timestamp::from_date(start->plus_days(days))},
       [&](const flow::FlowRecord& r) { writer.append(r); });
   const std::size_t n = writer.records_written();
-  if (!writer.write_file(path)) {
-    std::cerr << "error: cannot write " << path << "\n";
+  if (const std::string err = writer.write_file(path); !err.empty()) {
+    std::cerr << "error: cannot write " << path << ": " << err << "\n";
     return 1;
   }
   std::cout << "wrote " << n << " records (" << to_string(*vantage_id) << ", "

@@ -41,6 +41,11 @@ from pathlib import Path
 PAIRS = [
     ("BENCH_bench_filter_match.json", "BM_MatchReference",
      "BM_MatchPlan", 4.5, "filter plan (Table-1 DSL objects)"),
+    # Fused monitoring-object routing (DESIGN.md section 12): Table-1
+    # objects routed per 21-record datagram, the per-object match_batch
+    # loop of the unfused router vs MonitorSet::route_batch's one pass.
+    ("BENCH_bench_filter_match.json", "BM_RoutePerObjectDatagrams",
+     "BM_RouteFusedDatagrams", 3.0, "routing (per-object vs fused)"),
     ("BENCH_bench_flow_decode_plan.json", "BM_DecodeInterpreted",
      "BM_DecodePlan", 2.5, "decode plan (IPFIX v4)"),
     ("BENCH_bench_flow_encode_plan.json", "BM_EncodeReferenceV5",
@@ -113,16 +118,27 @@ PAIRS = [
 
 
 def load_ns_per_op(path: Path) -> dict[str, float]:
+    """ns/op per series: the `<series>_median` aggregate when the run
+    had --benchmark_repetitions, else the series' single (first) run.
+
+    One run of a short series can land on a noisy slice of a shared
+    runner; the median of five repetitions is what a pair is gated on.
+    """
     with path.open() as f:
         doc = json.load(f)
     out: dict[str, float] = {}
+    medians: dict[str, float] = {}
     for entry in doc.get("benchmarks", []):
         name = entry.get("name")
         ns = entry.get("ns_per_op")
-        # Keep the first run of a series (benchmark repetitions append
-        # aggregate rows whose names differ, so plain names stay unique).
-        if isinstance(name, str) and isinstance(ns, (int, float)) and ns > 0:
+        if not (isinstance(name, str) and isinstance(ns, (int, float))
+                and ns > 0):
+            continue
+        if name.endswith("_median"):
+            medians[name[: -len("_median")]] = float(ns)
+        else:
             out.setdefault(name, float(ns))
+    out.update(medians)
     return out
 
 

@@ -1,8 +1,6 @@
 #include "analysis/export.hpp"
 
-#include <cstdio>
-#include <memory>
-
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace lockdown::analysis {
@@ -63,12 +61,9 @@ util::Table vpn_profile_table(const std::vector<VpnAnalyzer::Profile>& profiles)
   return table;
 }
 
-bool write_csv(const util::Table& table, const std::string& path) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
-      std::fopen(path.c_str(), "wb"), &std::fclose);
-  if (!f) return false;
+std::string write_csv(const util::Table& table, const std::string& path) {
   const std::string csv = table.to_csv();
-  return std::fwrite(csv.data(), 1, csv.size(), f.get()) == csv.size();
+  return util::write_whole_file(path, csv.data(), csv.size());
 }
 
 }  // namespace lockdown::analysis

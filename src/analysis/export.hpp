@@ -31,7 +31,8 @@ namespace lockdown::analysis {
 [[nodiscard]] util::Table vpn_profile_table(
     const std::vector<VpnAnalyzer::Profile>& profiles);
 
-/// Write any table as CSV. Returns false on I/O error.
-[[nodiscard]] bool write_csv(const util::Table& table, const std::string& path);
+/// Write any table as CSV. Returns an empty string on success, else the
+/// strerror of the failed open, write, flush or close.
+[[nodiscard]] std::string write_csv(const util::Table& table, const std::string& path);
 
 }  // namespace lockdown::analysis

@@ -1,8 +1,11 @@
 #include "filter/monitor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
+
+#include "obs/trace.hpp"
 
 namespace lockdown::filter {
 
@@ -48,6 +51,7 @@ MonitoringObject& MonitorSet::add(std::string_view name,
                                 "' registered twice");
   }
   CompiledFilter filter = CompiledFilter::compile(expression, trie_);
+  plan_.add(filter.ast());
   objects_.push_back(std::unique_ptr<MonitoringObject>(
       new MonitoringObject(std::string(name), std::move(filter))));
   MonitoringObject& obj = *objects_.back();
@@ -108,43 +112,64 @@ void MonitorSet::add_definitions(std::string_view text,
 
 void MonitorSet::route_batch(std::span<const flow::FlowRecord> records) {
   if (records.empty() || objects_.empty()) return;
-  thread_local std::vector<std::uint8_t> hits;
-  thread_local FlowColumns cols;
-  hits.resize(records.size());
-  // Service keys and resolved endpoint ASes are filter-independent; derive
-  // them once per batch and share them with every object's plan.
-  cols.build(records, trie_);
-  for (const auto& obj : objects_) {
-    obj->filter_.match_batch(records, hits, cols);
+  TRACE_SPAN_ARG("filter", "filter.route_batch", records.size());
+  struct Sums {
     std::uint64_t flows = 0;
     std::uint64_t bytes = 0;
     std::uint64_t packets = 0;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      if (hits[i] == 0) continue;
-      ++flows;
-      bytes += records[i].bytes;
-      packets += records[i].packets;
+  };
+  thread_local FlowColumns cols;
+  thread_local std::vector<std::uint64_t> masks;
+  thread_local std::vector<std::uint8_t> hits;
+  thread_local std::vector<Sums> sums;
+  const std::size_t n = records.size();
+  const std::size_t words = plan_.mask_words();
+  // Service keys and resolved endpoint ASes are filter-independent; derive
+  // them once per batch. One plan pass then leaves one object-mask word
+  // (per 64 objects) for each record.
+  cols.build(records, trie_);
+  masks.resize(n * words);
+  plan_.evaluate(records, cols, masks);
+
+  sums.assign(objects_.size(), Sums{});
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < words; ++j) {
+      for (std::uint64_t m = masks[i * words + j]; m != 0; m &= m - 1) {
+        Sums& s = sums[j * 64 + static_cast<std::size_t>(std::countr_zero(m))];
+        ++s.flows;
+        s.bytes += records[i].bytes;
+        s.packets += records[i].packets;
+      }
     }
-    if (obj->batch_hook_) {
+  }
+
+  for (std::size_t k = 0; k < objects_.size(); ++k) {
+    MonitoringObject& obj = *objects_[k];
+    if (obj.batch_hook_) {
       // Even a zero-hit batch goes through: the hook may drive time-based
       // state (window rotation) off record timestamps.
-      obj->batch_hook_(records,
-                       std::span<const std::uint8_t>(hits.data(),
-                                                     records.size()),
-                       cols);
+      hits.resize(n);
+      const std::uint64_t* m = masks.data() + k / 64;
+      const unsigned bit = k % 64;
+      for (std::size_t i = 0; i < n; ++i) {
+        hits[i] = static_cast<std::uint8_t>((m[i * words] >> bit) & 1);
+      }
+      obj.batch_hook_(records, std::span<const std::uint8_t>(hits.data(), n),
+                      cols);
     }
+    std::uint64_t flows = sums[k].flows;
     if (flows == 0) continue;
     if (flow_scale_ != 1.0) {
       flows = static_cast<std::uint64_t>(
           std::llround(static_cast<double>(flows) * flow_scale_));
     }
-    obj->flows_.fetch_add(flows, std::memory_order_relaxed);
-    obj->bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    obj->packets_.fetch_add(packets, std::memory_order_relaxed);
-    if (obj->flow_counter_ != nullptr) {
-      obj->flow_counter_->add(flows);
-      obj->byte_counter_->add(bytes);
-      obj->packet_counter_->add(packets);
+    obj.flows_.fetch_add(flows, std::memory_order_relaxed);
+    obj.bytes_.fetch_add(sums[k].bytes, std::memory_order_relaxed);
+    obj.packets_.fetch_add(sums[k].packets, std::memory_order_relaxed);
+    if (obj.flow_counter_ != nullptr) {
+      obj.flow_counter_->add(flows);
+      obj.byte_counter_->add(sums[k].bytes);
+      obj.packet_counter_->add(sums[k].packets);
     }
   }
 }

@@ -2,7 +2,10 @@
 // is routed through (xenoeye-style monitoring objects, DESIGN.md §12).
 // Each object keeps flows/bytes/packets totals of the records its filter
 // matched; a batch is routed to *every* matching object, so overlapping
-// objects each see the full traffic they describe.
+// objects each see the full traffic they describe. add() also lowers each
+// object into one fused multi-output plan (fused.hpp), so route_batch
+// evaluates every distinct predicate of the whole set once per batch and
+// sums all objects' totals in one pass over per-record object masks.
 //
 // Thread model: add()/bind_metrics()/unbind_metrics() are wiring-time and
 // single-threaded; route_batch() may then be called concurrently from any
@@ -104,7 +107,9 @@ class MonitorSet {
   void add_definitions(std::string_view text, std::string_view origin);
 
   /// Match `records` against every object and accumulate per-object
-  /// flow/byte/packet totals (and their bound /metrics mirrors).
+  /// flow/byte/packet totals (and their bound /metrics mirrors), then call
+  /// every object's batch hook with its 0/1 hit span. Emits one
+  /// filter.route_batch trace span per batch.
   void route_batch(std::span<const flow::FlowRecord> records);
 
   /// Span-shaped sink matching flow::Collector::BatchSink, for wiring as a
@@ -133,6 +138,8 @@ class MonitorSet {
   [[nodiscard]] std::size_t size() const noexcept { return objects_.size(); }
   [[nodiscard]] bool empty() const noexcept { return objects_.empty(); }
   [[nodiscard]] const MonitoringObject* find(std::string_view name) const;
+  /// The fused plan route_batch evaluates (output k is the k-th object).
+  [[nodiscard]] const FusedPlan& plan() const noexcept { return plan_; }
   [[nodiscard]] auto begin() const noexcept { return objects_.begin(); }
   [[nodiscard]] auto end() const noexcept { return objects_.end(); }
 
@@ -141,6 +148,8 @@ class MonitorSet {
   // unique_ptr: objects hold atomics (not movable) and handed-out
   // references must survive vector growth.
   std::vector<std::unique_ptr<MonitoringObject>> objects_;
+  // Every object's filter; output k is objects_[k].
+  FusedPlan plan_;
   obs::Registry* registry_ = nullptr;
   double flow_scale_ = 1.0;
 };

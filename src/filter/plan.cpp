@@ -20,89 +20,9 @@ Overloaded(Ts...) -> Overloaded<Ts...>;
 
 constexpr std::uint8_t kTcpProto = 6;
 
-using Iv4 = std::pair<std::uint32_t, std::uint32_t>;
-
-[[nodiscard]] Iv4 v4_interval(const net::Ipv4Prefix& p) noexcept {
-  const std::uint32_t lo = p.network().value();
-  const std::uint32_t host =
-      p.length() == 32 ? 0 : (~std::uint32_t{0} >> p.length());
-  return {lo, lo | host};
-}
-
-[[nodiscard]] std::pair<std::uint64_t, std::uint64_t> v6_key(
-    const net::Ipv6Address& a) noexcept {
-  return {a.high(), a.low()};
-}
-
-[[nodiscard]] std::pair<std::uint64_t, std::uint64_t> v6_end(
-    const net::Ipv6Prefix& p) noexcept {
-  std::uint64_t hi = p.network().high();
-  std::uint64_t lo = p.network().low();
-  const unsigned host = 128u - p.length();
-  if (host >= 64) {
-    lo = ~std::uint64_t{0};
-    const unsigned hh = host - 64;
-    hi |= hh >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << hh) - 1);
-  } else if (host > 0) {
-    lo |= (std::uint64_t{1} << host) - 1;
-  }
-  return {hi, lo};
-}
-
-/// Sort by start and merge overlapping intervals; the result is sorted and
-/// disjoint, so membership is one binary search.
-template <typename K>
-void merge_intervals(std::vector<std::pair<K, K>>& iv) {
-  std::sort(iv.begin(), iv.end());
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < iv.size(); ++i) {
-    if (w > 0 && iv[i].first <= iv[w - 1].second) {
-      iv[w - 1].second = std::max(iv[w - 1].second, iv[i].second);
-    } else {
-      iv[w++] = iv[i];
-    }
-  }
-  iv.resize(w);
-}
-
-template <typename K>
-[[nodiscard]] bool in_intervals(const std::vector<std::pair<K, K>>& iv,
-                                const K& key) noexcept {
-  auto it = std::upper_bound(
-      iv.begin(), iv.end(), key,
-      [](const K& v, const std::pair<K, K>& e) { return v < e.first; });
-  if (it == iv.begin()) return false;
-  return key <= (it - 1)->second;
-}
-
-[[nodiscard]] std::int64_t active_seconds(const flow::FlowRecord& r) noexcept {
-  return std::max<std::int64_t>(1, r.last.seconds() - r.first.seconds());
-}
-
-[[nodiscard]] bool eval_rate(const RatePred& p, const flow::FlowRecord& r) noexcept {
-  double v = 0.0;
-  switch (p.field) {
-    case RateField::kBytes: v = static_cast<double>(r.bytes); break;
-    case RateField::kPackets: v = static_cast<double>(r.packets); break;
-    case RateField::kBps:
-      v = 8.0 * static_cast<double>(r.bytes) /
-          static_cast<double>(active_seconds(r));
-      break;
-    case RateField::kPps:
-      v = static_cast<double>(r.packets) /
-          static_cast<double>(active_seconds(r));
-      break;
-  }
-  switch (p.op) {
-    case CmpOp::kLt: return v < p.value;
-    case CmpOp::kLe: return v <= p.value;
-    case CmpOp::kGt: return v > p.value;
-    case CmpOp::kGe: return v >= p.value;
-    case CmpOp::kEq: return v == p.value;
-    case CmpOp::kNe: return v != p.value;
-  }
-  return false;
-}
+using detail::eval_rate;
+using detail::flatten_or;
+using detail::service_rule;
 
 // ---- compile-time degeneracy diagnostics ----------------------------------
 
@@ -277,15 +197,6 @@ void check_conjunction(const std::vector<const Expr*>& conjuncts) {
 
 // ---- service-rule fusion ---------------------------------------------------
 
-void flatten_or(const Expr& e, std::vector<const Expr*>& out) {
-  if (const auto* o = std::get_if<OrExpr>(&e.node)) {
-    flatten_or(*o->lhs, out);
-    flatten_or(*o->rhs, out);
-  } else {
-    out.push_back(&e);
-  }
-}
-
 /// Relative evaluation cost of a subtree (its most expensive leaf):
 /// proto/port/flags tests are register compares or one bitmap probe, rate
 /// tests a couple of float ops, net/asn tests binary searches with a
@@ -307,25 +218,6 @@ void flatten_or(const Expr& e, std::vector<const Expr*>& out) {
           [](const auto&) { return 0; },  // proto / port / tcp-flags
       },
       e.node);
-}
-
-/// Recognizes the fusible service-rule shape `proto P[,Q...] and port L`
-/// (either operand order; the port term must be undirected, i.e. match the
-/// service port). Returns {nullptr, nullptr} for anything else.
-[[nodiscard]] std::pair<const ProtoPred*, const PortPred*> service_rule(
-    const Expr& e) noexcept {
-  const auto* a = std::get_if<AndExpr>(&e.node);
-  if (a == nullptr) return {nullptr, nullptr};
-  const auto* proto = std::get_if<ProtoPred>(&a->lhs->node);
-  const auto* port = std::get_if<PortPred>(&a->rhs->node);
-  if (proto == nullptr || port == nullptr) {
-    proto = std::get_if<ProtoPred>(&a->rhs->node);
-    port = std::get_if<PortPred>(&a->lhs->node);
-  }
-  if (proto != nullptr && port != nullptr && port->dir == Direction::kEither) {
-    return {proto, port};
-  }
-  return {nullptr, nullptr};
 }
 
 void collect_conjuncts(const Expr& e, std::vector<const Expr*>& out) {
@@ -363,6 +255,101 @@ void diagnose(const Expr& e, bool under_and = false) {
 
 }  // namespace
 
+// ---- shared predicate helpers (predicates.hpp) ----------------------------
+
+namespace detail {
+
+namespace {
+
+[[nodiscard]] std::pair<std::uint32_t, std::uint32_t> v4_interval(
+    const net::Ipv4Prefix& p) noexcept {
+  const std::uint32_t lo = p.network().value();
+  const std::uint32_t host =
+      p.length() == 32 ? 0 : (~std::uint32_t{0} >> p.length());
+  return {lo, lo | host};
+}
+
+[[nodiscard]] U128 v6_end(const net::Ipv6Prefix& p) noexcept {
+  std::uint64_t hi = p.network().high();
+  std::uint64_t lo = p.network().low();
+  const unsigned host = 128u - p.length();
+  if (host >= 64) {
+    lo = ~std::uint64_t{0};
+    const unsigned hh = host - 64;
+    hi |= hh >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << hh) - 1);
+  } else if (host > 0) {
+    lo |= (std::uint64_t{1} << host) - 1;
+  }
+  return {hi, lo};
+}
+
+[[nodiscard]] std::int64_t active_seconds(const flow::FlowRecord& r) noexcept {
+  return std::max<std::int64_t>(1, r.last.seconds() - r.first.seconds());
+}
+
+}  // namespace
+
+NetSet make_net_set(const NetPred& p) {
+  NetSet set;
+  for (const auto& pre : p.v4) set.v4.push_back(v4_interval(pre));
+  for (const auto& pre : p.v6) set.v6.emplace_back(v6_key(pre.network()), v6_end(pre));
+  merge_intervals(set.v4);
+  merge_intervals(set.v6);
+  return set;
+}
+
+bool eval_rate(const RatePred& p, const flow::FlowRecord& r) noexcept {
+  double v = 0.0;
+  switch (p.field) {
+    case RateField::kBytes: v = static_cast<double>(r.bytes); break;
+    case RateField::kPackets: v = static_cast<double>(r.packets); break;
+    case RateField::kBps:
+      v = 8.0 * static_cast<double>(r.bytes) /
+          static_cast<double>(active_seconds(r));
+      break;
+    case RateField::kPps:
+      v = static_cast<double>(r.packets) /
+          static_cast<double>(active_seconds(r));
+      break;
+  }
+  switch (p.op) {
+    case CmpOp::kLt: return v < p.value;
+    case CmpOp::kLe: return v <= p.value;
+    case CmpOp::kGt: return v > p.value;
+    case CmpOp::kGe: return v >= p.value;
+    case CmpOp::kEq: return v == p.value;
+    case CmpOp::kNe: return v != p.value;
+  }
+  return false;
+}
+
+void flatten_or(const Expr& e, std::vector<const Expr*>& out) {
+  if (const auto* o = std::get_if<OrExpr>(&e.node)) {
+    flatten_or(*o->lhs, out);
+    flatten_or(*o->rhs, out);
+  } else {
+    out.push_back(&e);
+  }
+}
+
+std::pair<const ProtoPred*, const PortPred*> service_rule(
+    const Expr& e) noexcept {
+  const auto* a = std::get_if<AndExpr>(&e.node);
+  if (a == nullptr) return {nullptr, nullptr};
+  const auto* proto = std::get_if<ProtoPred>(&a->lhs->node);
+  const auto* port = std::get_if<PortPred>(&a->rhs->node);
+  if (proto == nullptr || port == nullptr) {
+    proto = std::get_if<ProtoPred>(&a->rhs->node);
+    port = std::get_if<PortPred>(&a->lhs->node);
+  }
+  if (proto != nullptr && port != nullptr && port->dir == Direction::kEither) {
+    return {proto, port};
+  }
+  return {nullptr, nullptr};
+}
+
+}  // namespace detail
+
 // ---- compilation ----------------------------------------------------------
 
 CompiledFilter CompiledFilter::compile(std::string_view source,
@@ -391,25 +378,7 @@ CompiledFilter CompiledFilter::compile(std::string_view source,
     }
     f.use_asn_index_ = true;
   }
-  for (const Step& s : f.steps_) {
-    switch (s.op) {
-      case Op::kServicePort:
-        f.needs_service_ = true;
-        break;
-      case Op::kPortEq:
-      case Op::kPortSet:
-        if (static_cast<Direction>(s.payload >> 16) == Direction::kEither) {
-          f.needs_service_ = true;
-        }
-        break;
-      case Op::kAsnEq:
-      case Op::kAsnSet:
-        f.needs_as_ = true;
-        break;
-      default:
-        break;
-    }
-  }
+  f.batch_.add(*f.ast_);
   return f;
 }
 
@@ -438,12 +407,8 @@ std::uint32_t CompiledFilter::make_service_set(
         port_sets_.push_back(std::move(bm));
         idx = static_cast<std::int32_t>(port_sets_.size() - 1);
       }
-      PortBitmap& bm = *port_sets_[static_cast<std::size_t>(idx)];
-      for (const auto& [lo, hi] : port->ranges) {
-        for (std::uint32_t v = lo; v <= hi; ++v) {
-          bm[v >> 6] |= 1ULL << (v & 63);
-        }
-      }
+      detail::set_ports(*port_sets_[static_cast<std::size_t>(idx)],
+                        port->ranges);
     }
   }
   service_sets_.push_back(set);
@@ -535,11 +500,7 @@ std::uint16_t CompiledFilter::emit(const Expr& e, std::uint16_t on_true,
             }
             auto bm = std::make_unique<PortBitmap>();
             bm->fill(0);
-            for (const auto& [lo, hi] : p.ranges) {
-              for (std::uint32_t v = lo; v <= hi; ++v) {
-                (*bm)[v >> 6] |= 1ULL << (v & 63);
-              }
-            }
+            detail::set_ports(*bm, p.ranges);
             port_sets_.push_back(std::move(bm));
             return push_step(
                 e, Op::kPortSet,
@@ -547,14 +508,7 @@ std::uint16_t CompiledFilter::emit(const Expr& e, std::uint16_t on_true,
                 on_true, on_false);
           },
           [&](const NetPred& p) {
-            NetSet set;
-            for (const auto& pre : p.v4) set.v4.push_back(v4_interval(pre));
-            for (const auto& pre : p.v6) {
-              set.v6.emplace_back(v6_key(pre.network()), v6_end(pre));
-            }
-            merge_intervals(set.v4);
-            merge_intervals(set.v6);
-            net_sets_.push_back(std::move(set));
+            net_sets_.push_back(detail::make_net_set(p));
             return push_step(
                 e, Op::kNet,
                 (static_cast<std::uint32_t>(p.dir) << 16) |
@@ -633,13 +587,7 @@ bool CompiledFilter::eval_step(const Step& s, const flow::FlowRecord& r,
   const auto dir = static_cast<Direction>(s.payload >> 16);
   const auto low = s.payload & 0xffffu;
   const auto service = [&r, &cache]() -> std::uint32_t {
-    if (cache.service == ~std::uint32_t{0}) {
-      const flow::PortKey key = r.service_port();
-      cache.service =
-          (static_cast<std::uint32_t>(static_cast<std::uint8_t>(key.proto))
-           << 16) |
-          key.port;
-    }
+    if (cache.service == ~std::uint32_t{0}) cache.service = detail::service_key(r);
     return cache.service;
   };
   switch (s.op) {
@@ -661,8 +609,7 @@ bool CompiledFilter::eval_step(const Step& s, const flow::FlowRecord& r,
     case Op::kNet: {
       const NetSet& set = net_sets_[low];
       const auto test = [&set](const net::IpAddress& a) {
-        if (a.is_v4()) return in_intervals(set.v4, a.v4().value());
-        return in_intervals(set.v6, v6_key(a.v6()));
+        return detail::in_net_set(set, a);
       };
       if (dir == Direction::kSrc) return test(r.src_addr);
       if (dir == Direction::kDst) return test(r.dst_addr);
@@ -729,21 +676,8 @@ bool CompiledFilter::match(const flow::FlowRecord& r) const { return run(r); }
 
 namespace {
 
-/// Per-thread scratch for the columnar batch evaluator: one result row per
-/// step plus the per-filter ASN membership masks, sized to one chunk, and
-/// (for the column-building overloads) the derived per-record columns.
-struct BatchScratch {
-  std::vector<std::uint8_t> acc;
-  std::vector<std::uint8_t> ones;
-  std::vector<std::uint8_t> zeros;
-  std::vector<std::uint64_t> src_mask;
-  std::vector<std::uint64_t> dst_mask;
-  FlowColumns cols;
-};
-
-constexpr std::size_t kBatchChunk = 512;
-
-thread_local BatchScratch g_scratch;
+/// Columns for the standalone match_batch form (per thread).
+thread_local FlowColumns g_cols;
 
 }  // namespace
 
@@ -764,11 +698,7 @@ void FlowColumns::build(std::span<const flow::FlowRecord> records,
   dst_as.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const flow::FlowRecord& r = records[i];
-    const flow::PortKey key = r.service_port();
-    service[i] =
-        (static_cast<std::uint32_t>(static_cast<std::uint8_t>(key.proto))
-         << 16) |
-        key.port;
+    service[i] = detail::service_key(r);
     src_as[i] = resolve_endpoint_as(trie, r.src_as, r.src_addr);
     dst_as[i] = resolve_endpoint_as(trie, r.dst_as, r.dst_addr);
   }
@@ -777,19 +707,15 @@ void FlowColumns::build(std::span<const flow::FlowRecord> records,
 void CompiledFilter::match_batch(std::span<const flow::FlowRecord> records,
                                  std::span<std::uint8_t> out) const {
   // Standalone form: derive only the columns this plan consults.
-  FlowColumns& cols = g_scratch.cols;
+  FlowColumns& cols = g_cols;
   const std::size_t n = records.size();
-  if (needs_service_) {
+  if (batch_.needs_service()) {
     cols.service.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const flow::PortKey key = records[i].service_port();
-      cols.service[i] =
-          (static_cast<std::uint32_t>(static_cast<std::uint8_t>(key.proto))
-           << 16) |
-          key.port;
+      cols.service[i] = detail::service_key(records[i]);
     }
   }
-  if (needs_as_) {
+  if (batch_.needs_as()) {
     cols.src_as.resize(n);
     cols.dst_as.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -799,188 +725,14 @@ void CompiledFilter::match_batch(std::span<const flow::FlowRecord> records,
           resolve_endpoint_as(trie_, records[i].dst_as, records[i].dst_addr);
     }
   }
-  match_batch_impl(records, out,
-                   needs_service_ ? cols.service.data() : nullptr,
-                   needs_as_ ? cols.src_as.data() : nullptr,
-                   needs_as_ ? cols.dst_as.data() : nullptr);
+  match_batch(records, out, cols);
 }
 
 void CompiledFilter::match_batch(std::span<const flow::FlowRecord> records,
                                  std::span<std::uint8_t> out,
                                  const FlowColumns& cols) const {
-  match_batch_impl(records, out, cols.service.data(), cols.src_as.data(),
-                   cols.dst_as.data());
-}
-
-void CompiledFilter::match_batch_impl(
-    std::span<const flow::FlowRecord> records, std::span<std::uint8_t> out,
-    const std::uint32_t* service, const std::uint32_t* src_as,
-    const std::uint32_t* dst_as) const {
   TRACE_SPAN_ARG("filter", "filter.match_batch", records.size());
-  BatchScratch& scr = g_scratch;
-  scr.acc.resize(steps_.size() * kBatchChunk);
-  scr.ones.assign(kBatchChunk, 1);
-  scr.zeros.assign(kBatchChunk, 0);
-  if (use_asn_index_) {
-    scr.src_mask.resize(kBatchChunk);
-    scr.dst_mask.resize(kBatchChunk);
-  }
-  const auto row = [&](std::uint16_t target) -> const std::uint8_t* {
-    if (target == kAcceptTarget) return scr.ones.data();
-    if (target == kRejectTarget) return scr.zeros.data();
-    return scr.acc.data() + target * kBatchChunk;
-  };
-
-  for (std::size_t base = 0; base < records.size(); base += kBatchChunk) {
-    const std::size_t n = std::min(kBatchChunk, records.size() - base);
-    const flow::FlowRecord* recs = records.data() + base;
-    const std::uint32_t* svc = service == nullptr ? nullptr : service + base;
-    const std::uint32_t* sas = src_as == nullptr ? nullptr : src_as + base;
-    const std::uint32_t* das = dst_as == nullptr ? nullptr : dst_as + base;
-    // Per-filter ASN membership masks over the interned index.
-    if (use_asn_index_) {
-      for (std::size_t i = 0; i < n; ++i) {
-        scr.src_mask[i] = index_mask(src_as[base + i]);
-        scr.dst_mask[i] = index_mask(dst_as[base + i]);
-      }
-    }
-
-    // One forward pass over the steps: emission order guarantees every
-    // jump target is a lower-index step (or a terminal), so its result
-    // row is already final when a step selects from it.
-    for (std::size_t si = 0; si < steps_.size(); ++si) {
-      const Step& s = steps_[si];
-      std::uint8_t* a = scr.acc.data() + si * kBatchChunk;
-      const std::uint8_t* tv = row(s.on_true);
-      const std::uint8_t* fv = row(s.on_false);
-      const auto dir = static_cast<Direction>(s.payload >> 16);
-      const auto low = s.payload & 0xffffu;
-      switch (s.op) {
-        case Op::kProtoEq:
-          for (std::size_t i = 0; i < n; ++i) {
-            const bool p =
-                static_cast<std::uint8_t>(recs[i].protocol) == s.payload;
-            a[i] = p ? tv[i] : fv[i];
-          }
-          break;
-        case Op::kProtoSet: {
-          const ProtoBitmap& bm = proto_sets_[s.payload];
-          for (std::size_t i = 0; i < n; ++i) {
-            const std::uint8_t v = static_cast<std::uint8_t>(recs[i].protocol);
-            a[i] = ((bm[v >> 6] >> (v & 63)) & 1) != 0 ? tv[i] : fv[i];
-          }
-          break;
-        }
-        case Op::kPortEq:
-        case Op::kPortSet: {
-          const auto port_of = [&](std::size_t i) -> std::uint16_t {
-            if (dir == Direction::kSrc) return recs[i].src_port;
-            if (dir == Direction::kDst) return recs[i].dst_port;
-            return static_cast<std::uint16_t>(svc[i]);
-          };
-          if (s.op == Op::kPortEq) {
-            for (std::size_t i = 0; i < n; ++i) {
-              a[i] = port_of(i) == low ? tv[i] : fv[i];
-            }
-          } else {
-            const PortBitmap& bm = *port_sets_[low];
-            for (std::size_t i = 0; i < n; ++i) {
-              const std::uint16_t p = port_of(i);
-              a[i] = ((bm[p >> 6] >> (p & 63)) & 1) != 0 ? tv[i] : fv[i];
-            }
-          }
-          break;
-        }
-        case Op::kNet: {
-          const NetSet& set = net_sets_[low];
-          const auto test = [&set](const net::IpAddress& addr) {
-            if (addr.is_v4()) return in_intervals(set.v4, addr.v4().value());
-            return in_intervals(set.v6, v6_key(addr.v6()));
-          };
-          for (std::size_t i = 0; i < n; ++i) {
-            bool p = false;
-            if (dir != Direction::kDst) p = test(recs[i].src_addr);
-            if (!p && dir != Direction::kSrc) p = test(recs[i].dst_addr);
-            a[i] = p ? tv[i] : fv[i];
-          }
-          break;
-        }
-        case Op::kAsnEq: {
-          const AsnEq& eq = asn_eq_[s.payload];
-          for (std::size_t i = 0; i < n; ++i) {
-            bool p = false;
-            if (eq.dir != Direction::kDst) p = sas[i] == eq.asn;
-            if (!p && eq.dir != Direction::kSrc) p = das[i] == eq.asn;
-            a[i] = p ? tv[i] : fv[i];
-          }
-          break;
-        }
-        case Op::kAsnSet: {
-          if (use_asn_index_) {
-            const std::uint64_t bit = std::uint64_t{1} << low;
-            for (std::size_t i = 0; i < n; ++i) {
-              std::uint64_t m = 0;
-              if (dir != Direction::kDst) m = scr.src_mask[i];
-              if (dir != Direction::kSrc) m |= scr.dst_mask[i];
-              a[i] = (m & bit) != 0 ? tv[i] : fv[i];
-            }
-            break;
-          }
-          const auto& set = asn_sets_[low];
-          const auto has = [&set](std::uint32_t v) {
-            return std::binary_search(set.begin(), set.end(), v);
-          };
-          for (std::size_t i = 0; i < n; ++i) {
-            bool p = false;
-            if (dir != Direction::kDst) p = has(sas[i]);
-            if (!p && dir != Direction::kSrc) p = has(das[i]);
-            a[i] = p ? tv[i] : fv[i];
-          }
-          break;
-        }
-        case Op::kFlagsAll:
-          for (std::size_t i = 0; i < n; ++i) {
-            const bool p = recs[i].protocol == flow::IpProtocol::kTcp &&
-                           (recs[i].tcp_flags & s.payload) == s.payload;
-            a[i] = p ? tv[i] : fv[i];
-          }
-          break;
-        case Op::kFlagsAny:
-          for (std::size_t i = 0; i < n; ++i) {
-            const bool p = recs[i].protocol == flow::IpProtocol::kTcp &&
-                           (recs[i].tcp_flags & s.payload) != 0;
-            a[i] = p ? tv[i] : fv[i];
-          }
-          break;
-        case Op::kRate: {
-          const RatePred& rp = rates_[s.payload];
-          for (std::size_t i = 0; i < n; ++i) {
-            a[i] = eval_rate(rp, recs[i]) ? tv[i] : fv[i];
-          }
-          break;
-        }
-        case Op::kServicePort: {
-          const ServicePortSet& set = service_sets_[s.payload];
-          for (std::size_t i = 0; i < n; ++i) {
-            const std::uint32_t key = svc[i];
-            const std::int32_t idx = set.per_proto[key >> 16];
-            bool p = false;
-            if (idx >= 0) {
-              const std::uint16_t port = static_cast<std::uint16_t>(key);
-              const PortBitmap& bm =
-                  *port_sets_[static_cast<std::size_t>(idx)];
-              p = ((bm[port >> 6] >> (port & 63)) & 1) != 0;
-            }
-            a[i] = p ? tv[i] : fv[i];
-          }
-          break;
-        }
-      }
-    }
-
-    const std::uint8_t* result = row(entry_);
-    std::copy(result, result + n, out.begin() + static_cast<std::ptrdiff_t>(base));
-  }
+  batch_.evaluate(records, cols, out);
 }
 
 // ---- reference interpreter ------------------------------------------------

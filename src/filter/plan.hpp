@@ -10,9 +10,11 @@
 // union takes -- into a single per-protocol-bitmap step, so a whole class
 // union costs one service_port() call and one bitmap probe.
 //
-// The AST is retained and match_reference() walks it directly; a 1M-flow
-// differential fuzz pins the two against each other, mirroring the
-// classify()/classify_reference() pairing of the AppClassifier.
+// Batch matching runs the filter as the one-output case of the fused
+// multi-output plan (fused.hpp), the same evaluator MonitorSet routes
+// through. The AST is retained and match_reference() walks it directly; a
+// 1M-flow differential fuzz pins all three against each other, mirroring
+// the classify()/classify_reference() pairing of the AppClassifier.
 //
 // compile() also rejects degenerate filters with source-located errors:
 // conjunctions that pin the same single-valued axis to disjoint sets
@@ -30,6 +32,8 @@
 #include <vector>
 
 #include "filter/ast.hpp"
+#include "filter/fused.hpp"
+#include "filter/predicates.hpp"
 #include "flow/flow_record.hpp"
 #include "net/asn.hpp"
 #include "net/prefix_trie.hpp"
@@ -76,10 +80,9 @@ class CompiledFilter {
 
   /// Compiled batch match mirroring AppClassifier::classify_batch: writes
   /// records.size() 0/1 results into `out` (which must be at least that
-  /// large). Evaluated column-wise: every step becomes one result row per
-  /// 512-record chunk (targets always point at lower-index steps, so one
-  /// forward pass resolves the DAG), keeping the op dispatch outside the
-  /// record loop and the inner loops branch-predictable. Emits a
+  /// large). Evaluated column-wise by the fused plan (fused.hpp): every
+  /// distinct predicate becomes one bit column per 512-record chunk,
+  /// keeping the op dispatch outside the record loop. Emits a
   /// filter.match_batch trace span. Safe to call concurrently (the plan
   /// is immutable after compile(); scratch is thread_local).
   void match_batch(std::span<const flow::FlowRecord> records,
@@ -135,15 +138,9 @@ class CompiledFilter {
   static constexpr std::uint16_t kAcceptTarget = 0xffff;
   static constexpr std::uint16_t kRejectTarget = 0xfffe;
 
-  using PortBitmap = std::array<std::uint64_t, 1024>;  // 65536 bits
-  using ProtoBitmap = std::array<std::uint64_t, 4>;    // 256 bits
-  using U128 = std::pair<std::uint64_t, std::uint64_t>;  // (high, low)
-
-  /// Merged, sorted, disjoint inclusive address intervals.
-  struct NetSet {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> v4;
-    std::vector<std::pair<U128, U128>> v6;
-  };
+  using PortBitmap = detail::PortBitmap;
+  using ProtoBitmap = std::array<std::uint64_t, 4>;  // 256 bits
+  using NetSet = detail::NetSet;
 
   struct AsnEq {
     Direction dir = Direction::kEither;
@@ -180,11 +177,6 @@ class CompiledFilter {
   [[nodiscard]] std::uint32_t src_as(const flow::FlowRecord& r, AsnCache& c) const;
   [[nodiscard]] std::uint32_t dst_as(const flow::FlowRecord& r, AsnCache& c) const;
 
-  void match_batch_impl(std::span<const flow::FlowRecord> records,
-                        std::span<std::uint8_t> out,
-                        const std::uint32_t* service,
-                        const std::uint32_t* src_as,
-                        const std::uint32_t* dst_as) const;
   [[nodiscard]] bool eval_step(const Step& s, const flow::FlowRecord& r,
                                AsnCache& cache) const;
   [[nodiscard]] bool run(const flow::FlowRecord& r) const;
@@ -230,9 +222,8 @@ class CompiledFilter {
   std::uint32_t asn_index_cap_ = 0;  // slots - 1 (power-of-two table)
   bool use_asn_index_ = false;
 
-  // Which per-record derived values the batch evaluator must materialize.
-  bool needs_service_ = false;
-  bool needs_as_ = false;
+  /// The batch form: this filter as the one output of a fused plan.
+  FusedPlan batch_;
 };
 
 }  // namespace lockdown::filter

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "flow/wire.hpp"
+#include "util/file.hpp"
 
 namespace lockdown::flow {
 
@@ -115,12 +116,9 @@ std::vector<std::uint8_t> TraceWriter::finish() {
   return out;
 }
 
-bool TraceWriter::write_file(const std::string& path) {
+std::string TraceWriter::write_file(const std::string& path) {
   const auto image = finish();
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
-      std::fopen(path.c_str(), "wb"), &std::fclose);
-  if (!f) return false;
-  return std::fwrite(image.data(), 1, image.size(), f.get()) == image.size();
+  return util::write_whole_file(path, image.data(), image.size());
 }
 
 std::optional<TraceReadResult> read_trace(std::span<const std::uint8_t> image) {

@@ -40,9 +40,10 @@ class TraceWriter {
   /// writer is reusable afterwards (starts a new image).
   [[nodiscard]] std::vector<std::uint8_t> finish();
 
-  /// Convenience: write the finished image to a file. Returns false on I/O
-  /// error.
-  [[nodiscard]] bool write_file(const std::string& path);
+  /// Convenience: write the finished image to a file. Returns an empty
+  /// string on success, else the strerror of the failed open, write,
+  /// flush or close.
+  [[nodiscard]] std::string write_file(const std::string& path);
 
  private:
   void start();

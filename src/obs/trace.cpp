@@ -56,14 +56,27 @@ std::atomic<std::uint64_t>& tracer_id_source() {
 struct TlsRingEntry {
   std::uint64_t tracer_id;
   TraceRing* ring;
+  std::shared_ptr<std::atomic<bool>> alive;
 };
 
-thread_local std::vector<TlsRingEntry> tls_rings;
+/// The calling thread's ring per tracer. At thread exit every ring it
+/// wrote is marked retired, which lets a later thread reuse it.
+struct TlsRings {
+  std::vector<TlsRingEntry> entries;
+  ~TlsRings() {
+    for (const TlsRingEntry& e : entries) {
+      e.alive->store(false, std::memory_order_release);
+    }
+  }
+};
+
+thread_local TlsRings tls_rings;
 
 }  // namespace
 
-Tracer::Tracer(std::size_t ring_capacity)
+Tracer::Tracer(std::size_t ring_capacity, std::size_t retained_rings)
     : ring_capacity_(ring_capacity == 0 ? 2 : ring_capacity),
+      retained_rings_(retained_rings),
       epoch_ns_(trace_now_ns()),
       id_for_tls_(tracer_id_source().fetch_add(1, std::memory_order_relaxed)) {
   // Reserve name id 0 as "unknown" so a zeroed slot never aliases a real
@@ -74,7 +87,7 @@ Tracer::Tracer(std::size_t ring_capacity)
 Tracer::~Tracer() = default;
 
 Tracer& Tracer::instance() {
-  static Tracer tracer;
+  static Tracer tracer(kDefaultRingCapacity, kRetainedRings);
   return tracer;
 }
 
@@ -90,14 +103,32 @@ std::uint32_t Tracer::intern(std::string_view category, std::string_view name) {
 }
 
 TraceRing& Tracer::this_thread_ring() {
-  for (const TlsRingEntry& e : tls_rings) {
+  for (const TlsRingEntry& e : tls_rings.entries) {
     if (e.tracer_id == id_for_tls_) return *e.ring;
   }
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto tid = static_cast<std::uint32_t>(threads_.size());
-  threads_.push_back({std::make_unique<TraceRing>(ring_capacity_, tid), {}});
-  TraceRing* ring = threads_.back().ring.get();
-  tls_rings.push_back({id_for_tls_, ring});
+  auto alive = std::make_shared<std::atomic<bool>>(true);
+  ThreadEntry* reuse = nullptr;
+  std::size_t retired = 0;
+  for (ThreadEntry& t : threads_) {
+    if (t.alive->load(std::memory_order_acquire)) continue;
+    if (reuse == nullptr || t.registered < reuse->registered) reuse = &t;
+    ++retired;
+  }
+  TraceRing* ring = nullptr;
+  if (retired >= retained_rings_) {
+    reuse->ring->recycle();
+    reuse->name.clear();
+    reuse->alive = alive;
+    reuse->registered = registrations_++;
+    ring = reuse->ring.get();
+  } else {
+    const auto tid = static_cast<std::uint32_t>(threads_.size());
+    threads_.push_back({std::make_unique<TraceRing>(ring_capacity_, tid), {},
+                        alive, registrations_++});
+    ring = threads_.back().ring.get();
+  }
+  tls_rings.entries.push_back({id_for_tls_, ring, std::move(alive)});
   return *ring;
 }
 

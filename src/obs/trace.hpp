@@ -103,6 +103,13 @@ class TraceRing {
                    std::memory_order_release);
   }
 
+  /// Hand the ring to a new writer thread once its previous writer has
+  /// exited: whatever that writer left undrained counts as dropped.
+  void recycle() noexcept {
+    dropped_.fetch_add(pending(), std::memory_order_relaxed);
+    discard();
+  }
+
   /// Spans overwritten before any drain consumed them.
   [[nodiscard]] std::uint64_t dropped() const noexcept {
     return dropped_.load(std::memory_order_relaxed);
@@ -147,13 +154,19 @@ class Tracer {
  public:
   /// `ring_capacity` applies to rings created after construction (each
   /// traced thread gets one).
-  explicit Tracer(std::size_t ring_capacity = kDefaultRingCapacity);
+  /// `retained_rings` bounds how many exited threads' rings are kept for
+  /// late drains (see this_thread_ring); the default keeps all of them,
+  /// which a tracer exported once at the end of a run needs.
+  explicit Tracer(std::size_t ring_capacity = kDefaultRingCapacity,
+                  std::size_t retained_rings = kKeepAllRings);
   ~Tracer();
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// The tracer the TRACE_SPAN macros bind to.
+  /// The tracer the TRACE_SPAN macros bind to. It is always on and lives
+  /// as long as the process, so it keeps only kRetainedRings exited
+  /// threads' rings: a collector rebuilt per run must not grow it.
   [[nodiscard]] static Tracer& instance();
 
   /// Tracing defaults to on ("always-on"); a disabled tracer reduces every
@@ -173,7 +186,11 @@ class Tracer {
 
   /// The ring owned by the calling thread, created on first use. Stable
   /// for the thread's lifetime; rings outlive their threads (the tracer
-  /// owns them) so late drains still see their spans.
+  /// owns them) so late drains still see their spans. Once
+  /// `retained_rings` rings belong to exited threads, a new thread takes
+  /// over the one whose thread registered first (its undrained spans
+  /// count as dropped), so thread churn cannot grow the tracer without
+  /// bound.
   [[nodiscard]] TraceRing& this_thread_ring();
 
   /// Label the calling thread in exported traces ("shard-3", "wire", ...).
@@ -195,10 +212,12 @@ class Tracer {
   /// gun of a capture window.
   void discard();
 
-  /// Total spans lost to ring wrap across all rings (cumulative).
+  /// Total spans lost to ring wrap or to a ring's takeover by a new
+  /// thread, across all rings (cumulative).
   [[nodiscard]] std::uint64_t dropped() const;
 
-  /// Registered thread count (== distinct tids that ever traced).
+  /// Registered rings (== distinct tids): one per thread that ever
+  /// traced, until exited threads' rings start being reused.
   [[nodiscard]] std::size_t threads() const;
 
   /// Drain everything pending and render it as Chrome Trace Event Format
@@ -211,15 +230,24 @@ class Tracer {
   [[nodiscard]] std::string capture_chrome_json(std::chrono::milliseconds window);
 
   static constexpr std::size_t kDefaultRingCapacity = 8192;
+  /// Rings of exited threads instance() keeps for late drains.
+  static constexpr std::size_t kRetainedRings = 16;
+  static constexpr std::size_t kKeepAllRings = ~std::size_t{0};
 
  private:
   struct ThreadEntry {
     std::unique_ptr<TraceRing> ring;
     std::string name;
+    /// Cleared when the writing thread exits. Shared with that thread's
+    /// ring cache, so it stays valid whichever of thread and tracer ends
+    /// first.
+    std::shared_ptr<std::atomic<bool>> alive;
+    std::uint64_t registered = 0;  ///< order in which its thread registered
   };
 
   std::atomic<bool> enabled_{true};
   std::size_t ring_capacity_;
+  std::size_t retained_rings_;
   std::uint64_t epoch_ns_;   ///< steady-clock origin of exported timestamps
   std::uint64_t id_for_tls_; ///< process-unique, keys the thread-local ring cache
 
@@ -227,6 +255,7 @@ class Tracer {
   std::map<std::pair<std::string, std::string>, std::uint32_t> name_ids_;
   std::vector<std::pair<std::string, std::string>> names_;  ///< id -> (cat, name)
   std::vector<ThreadEntry> threads_;                        ///< tid -> entry
+  std::uint64_t registrations_ = 0;
 };
 
 /// RAII span: stamps [construction, destruction) onto the current thread's

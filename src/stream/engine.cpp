@@ -12,6 +12,7 @@ namespace lockdown::stream {
 namespace {
 
 constexpr std::string_view kWindowsMetric = "stream_windows_total";
+constexpr std::string_view kLateMetric = "stream_late_records_total";
 constexpr std::string_view kOverMetric = "stream_mavg_overlimit_total";
 constexpr std::string_view kUnderMetric = "stream_mavg_underlimit_total";
 constexpr std::string_view kValueMetric = "stream_window_value";
@@ -50,8 +51,12 @@ StreamMonitor::StreamMonitor(filter::MonitorSet& monitors, StreamConfig config)
         [os](std::span<const flow::FlowRecord> records,
              std::span<const std::uint8_t> hits,
              const filter::FlowColumns& cols) {
-          os->agg_.accumulate(records, hits, cols.service.data(),
-                              cols.src_as.data(), cols.dst_as.data());
+          const std::uint64_t late =
+              os->agg_.accumulate(records, hits, cols.service.data(),
+                                  cols.src_as.data(), cols.dst_as.data());
+          if (late != 0 && os->late_counter_ != nullptr) {
+            os->late_counter_->add(late);
+          }
           // Rotate off the batch clock too: a zero-hit batch still moves
           // this object's windows forward (empty windows feed the mavg).
           if (!records.empty()) os->agg_.advance(records.back().first);
@@ -140,6 +145,11 @@ void StreamMonitor::bind_metrics(obs::Registry& registry) {
     os->windows_counter_ = &registry.counter(
         kWindowsMetric, label, "Completed windows per monitoring object");
     os->windows_counter_->add(os->windows());
+    os->late_counter_ = &registry.counter(
+        kLateMetric, label,
+        "Matched records older than the filling window, folded into it "
+        "(late policy)");
+    os->late_counter_->add(os->late_records());
     if (os->mavg_) {
       os->overlimit_counter_ = &registry.counter(
           kOverMetric, label, "Moving-average overlimit events");
@@ -167,12 +177,14 @@ void StreamMonitor::unbind_metrics() {
   for (const auto& os : objects_) {
     const std::string label = object_label(os->name_);
     os->windows_counter_ = nullptr;
+    os->late_counter_ = nullptr;
     os->overlimit_counter_ = nullptr;
     os->underlimit_counter_ = nullptr;
     os->value_gauge_ = nullptr;
     os->mavg_gauge_ = nullptr;
     os->watermark_lag_gauge_ = nullptr;
     registry_->remove_counter(kWindowsMetric, label);
+    registry_->remove_counter(kLateMetric, label);
     registry_->remove_counter(kOverMetric, label);
     registry_->remove_counter(kUnderMetric, label);
     registry_->remove_gauge(kValueMetric, label);

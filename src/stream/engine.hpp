@@ -54,6 +54,11 @@ class ObjectStream {
   [[nodiscard]] std::uint64_t windows() const noexcept {
     return agg_.windows_completed();
   }
+  /// Matched records that arrived after their window closed and were
+  /// folded into the filling one; `stream_late_records_total` mirrors it.
+  [[nodiscard]] std::uint64_t late_records() const noexcept {
+    return agg_.late_records();
+  }
   [[nodiscard]] std::uint64_t overlimit_events() const noexcept {
     return overlimit_events_.load(std::memory_order_relaxed);
   }
@@ -93,6 +98,7 @@ class ObjectStream {
   std::atomic<double> last_watermark_lag_ms_{0.0};
   // Bound /metrics mirrors (null when not bound).
   obs::Counter* windows_counter_ = nullptr;
+  obs::Counter* late_counter_ = nullptr;
   obs::Counter* overlimit_counter_ = nullptr;
   obs::Counter* underlimit_counter_ = nullptr;
   obs::Gauge* value_gauge_ = nullptr;

@@ -107,12 +107,11 @@ WindowAggregator::WindowAggregator(Config config)
   if (config_.max_gap_windows < 1) config_.max_gap_windows = 1;
 }
 
-void WindowAggregator::accumulate(std::span<const flow::FlowRecord> records,
-                                  std::span<const std::uint8_t> hits,
-                                  const std::uint32_t* service_col,
-                                  const std::uint32_t* src_as_col,
-                                  const std::uint32_t* dst_as_col) {
-  if (records.empty()) return;
+std::uint64_t WindowAggregator::accumulate(
+    std::span<const flow::FlowRecord> records,
+    std::span<const std::uint8_t> hits, const std::uint32_t* service_col,
+    const std::uint32_t* src_as_col, const std::uint32_t* dst_as_col) {
+  if (records.empty()) return 0;
   const std::int64_t w = config_.window_seconds;
   const bool keyed = !config_.key.empty();
   thread_local Segment seg;
@@ -150,6 +149,7 @@ void WindowAggregator::accumulate(std::span<const flow::FlowRecord> records,
     return key;
   };
 
+  std::uint64_t late = 0;
   for (std::size_t i = 0; i < records.size(); ++i) {
     if (!hits.empty() && hits[i] == 0) continue;
     const std::int64_t t = records[i].first.seconds();
@@ -168,12 +168,16 @@ void WindowAggregator::accumulate(std::span<const flow::FlowRecord> records,
         seg.clear();
       }
       rotate_to(t);
+    } else if (t < begin) {
+      ++late;  // folded into the filling window (late policy)
     }
     const WindowAcc a{1, records[i].bytes, records[i].packets};
     seg.total += a;
     if (keyed) seg.map[key_of(i)] += a;
   }
   if (!seg.empty()) merge(seg);
+  if (late != 0) late_records_.fetch_add(late, std::memory_order_relaxed);
+  return late;
 }
 
 void WindowAggregator::advance(net::Timestamp now) {

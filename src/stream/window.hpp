@@ -10,10 +10,10 @@
 // not the wall clock, so replayed streams rotate identically to live
 // capture; a live daemon may additionally drive rotation from a ticker via
 // advance(). Records older than the current window are counted into the
-// current window (late policy, same as the slice spooler). Gaps emit empty
-// window results -- the moving-average layer needs the zeros -- capped at
-// Config::max_gap_windows per jump, after which the window clock skips
-// ahead (seq records the skip).
+// current window (late policy, same as the slice spooler) and tallied in
+// late_records(). Gaps emit empty window results -- the moving-average
+// layer needs the zeros -- capped at Config::max_gap_windows per jump,
+// after which the window clock skips ahead (seq records the skip).
 //
 // Thread model: accumulate()/advance() may be called concurrently from any
 // number of threads (shard workers). drain() and flush() are owner-thread
@@ -152,12 +152,13 @@ class WindowAggregator {
   /// `records` (the monitoring layer's FlowColumns arrays); null columns
   /// fall back to record fields (AS fields then only see exporter
   /// annotations). Rotates when record time crosses the window boundary.
-  /// Thread-safe.
-  void accumulate(std::span<const flow::FlowRecord> records,
-                  std::span<const std::uint8_t> hits,
-                  const std::uint32_t* service_col = nullptr,
-                  const std::uint32_t* src_as_col = nullptr,
-                  const std::uint32_t* dst_as_col = nullptr);
+  /// Returns how many of the accumulated records were late (older than the
+  /// filling window, so folded into it). Thread-safe.
+  std::uint64_t accumulate(std::span<const flow::FlowRecord> records,
+                           std::span<const std::uint8_t> hits,
+                           const std::uint32_t* service_col = nullptr,
+                           const std::uint32_t* src_as_col = nullptr,
+                           const std::uint32_t* dst_as_col = nullptr);
 
   /// Rotate every window that ends at or before `now` into the completed
   /// queue (live ticker / test hook). No-op before the first record.
@@ -178,6 +179,10 @@ class WindowAggregator {
   [[nodiscard]] const Config& config() const noexcept { return config_; }
   [[nodiscard]] std::uint64_t windows_completed() const noexcept {
     return windows_completed_.load(std::memory_order_relaxed);
+  }
+  /// Records folded into a later window than their own (late policy).
+  [[nodiscard]] std::uint64_t late_records() const noexcept {
+    return late_records_.load(std::memory_order_relaxed);
   }
   /// Completed windows not yet drained.
   [[nodiscard]] std::size_t pending() const;
@@ -236,6 +241,7 @@ class WindowAggregator {
   mutable std::mutex done_mu_;
   std::deque<WindowResult> done_;
   std::atomic<std::uint64_t> windows_completed_{0};
+  std::atomic<std::uint64_t> late_records_{0};
 };
 
 }  // namespace lockdown::stream

@@ -2,8 +2,10 @@
 // parsing with re-anchored error positions, /metrics bind/unbind, Table 1
 // re-expressed as DSL objects pinned byte-for-byte against the
 // AppClassifier, sharded-vs-single-threaded routing equality, the mixed
-// campus+VPN scenario against hand-computed ground truth, and concurrent
-// route_batch (the MonitorSetThreads suite is in the TSan CI job).
+// campus+VPN scenario against hand-computed ground truth, concurrent
+// route_batch (the MonitorSetThreads suite is in the TSan CI job), and the
+// fused routing plan's differential against per-object match_reference
+// over a 1M-flow mixed stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +26,7 @@
 #include "synth/as_registry.hpp"
 #include "synth/synthesizer.hpp"
 #include "synth/vantage.hpp"
+#include "util/rng.hpp"
 #include "wire_replay.hpp"
 
 namespace lockdown {
@@ -451,6 +454,318 @@ TEST(MonitorSetThreads, ConcurrentRouteBatchSumsExactly) {
         << obj->name();
   }
   concurrent.unbind_metrics();
+}
+
+// --- fused plan: differential against per-object match_reference ---------
+
+/// AS numbers for the many-AS-lists set, drawn by the mixed stream too.
+constexpr std::uint32_t kListAsBase = 65100;
+constexpr std::uint32_t kListAsCount = 160;
+
+/// 1M flows mixing Table-1 traffic (its service ports and AS numbers), the
+/// random sets' criteria (nets, ASes, flags, byte/packet/duration spreads
+/// around the rate thresholds) and uniform noise. Every fourth endpoint AS
+/// annotation is 0, so asn terms also resolve through the registry trie.
+const std::vector<FlowRecord>& mixed_stream() {
+  static const std::vector<FlowRecord> stream = [] {
+    const analysis::AppClassifier table1 = analysis::AppClassifier::table1();
+    std::vector<flow::PortKey> ports;
+    std::vector<std::uint32_t> asns{3320, 15169, 64700, 64701};
+    for (const analysis::AppFilter& f : table1.filters()) {
+      ports.insert(ports.end(), f.ports.begin(), f.ports.end());
+      for (const net::Asn a : f.asns) asns.push_back(a.value());
+    }
+    const auto registry = synth::AsRegistry::create_default();
+    std::vector<std::uint32_t> trie_v4;  // addresses the trie resolves
+    for (const std::uint32_t as : {15169u, 32934u, 2906u, 20940u, 8075u, 6507u}) {
+      if (const synth::AsInfo* info = registry.find(net::Asn(as))) {
+        for (const auto& p : info->prefixes) trie_v4.push_back(p.network().value());
+      }
+    }
+    util::Rng rng(2020);
+    std::vector<FlowRecord> out;
+    out.reserve(1'000'000);
+    for (std::size_t n = 0; n < 1'000'000; ++n) {
+      FlowRecord r;
+      const std::uint64_t kind = rng.uniform_u64(4);
+      if (kind < 2) {  // a Table-1 service
+        const flow::PortKey k = ports[rng.uniform_u64(ports.size())];
+        r.protocol = k.proto;
+        r.dst_port = k.port;
+        r.src_port = static_cast<std::uint16_t>(rng.uniform_int(1024, 65535));
+        if (rng.bernoulli(0.5)) std::swap(r.src_port, r.dst_port);
+      } else {
+        static constexpr IpProtocol kProtos[] = {
+            IpProtocol::kTcp, IpProtocol::kUdp, IpProtocol::kIcmp,
+            IpProtocol::kGre, IpProtocol::kEsp};
+        static constexpr std::uint16_t kPorts[] = {80, 443, 8443, 53, 1194,
+                                                   4500, 1024, 27015};
+        r.protocol = kProtos[rng.uniform_u64(std::size(kProtos))];
+        if (r.protocol == IpProtocol::kTcp || r.protocol == IpProtocol::kUdp) {
+          r.src_port = rng.bernoulli(0.5)
+                           ? kPorts[rng.uniform_u64(std::size(kPorts))]
+                           : static_cast<std::uint16_t>(rng.uniform_int(1, 65535));
+          r.dst_port = kPorts[rng.uniform_u64(std::size(kPorts))];
+        }
+      }
+      const auto addr = [&]() -> net::IpAddress {
+        if (rng.bernoulli(0.1)) {
+          return net::Ipv6Address::from_halves(
+              rng.bernoulli(0.5) ? 0x20010db800000000ULL
+                                 : rng.uniform_u64(~std::uint64_t{0}),
+              rng.uniform_u64(~std::uint64_t{0}));
+        }
+        static constexpr std::uint32_t kBases[] = {0x0a000000, 0xc6336400,
+                                                   0xcb007100};
+        const std::uint64_t pick = rng.uniform_u64(4);
+        const std::uint32_t base =
+            pick < 3 ? kBases[pick]
+                     : trie_v4[rng.uniform_u64(trie_v4.size())];
+        return net::Ipv4Address(base + static_cast<std::uint32_t>(rng.uniform_u64(256)));
+      };
+      r.src_addr = addr();
+      r.dst_addr = addr();
+      const auto as = [&]() -> net::Asn {
+        const std::uint64_t pick = rng.uniform_u64(4);
+        if (pick == 0) return net::Asn(0);  // trie fallback
+        if (pick == 1) {
+          return net::Asn(kListAsBase +
+                          static_cast<std::uint32_t>(rng.uniform_u64(kListAsCount)));
+        }
+        return net::Asn(asns[rng.uniform_u64(asns.size())]);
+      };
+      r.src_as = as();
+      r.dst_as = as();
+      if (r.protocol == IpProtocol::kTcp) {
+        r.tcp_flags = static_cast<std::uint8_t>(rng.uniform_u64(256));
+      }
+      r.bytes = static_cast<std::uint64_t>(rng.uniform(1.0, 4e6));
+      r.packets = static_cast<std::uint64_t>(rng.uniform(1.0, 2e4));
+      r.first = Timestamp::from_date(net::Date(2020, 3, 25), 10)
+                    .plus(rng.uniform_int(0, 600));
+      r.last = r.first.plus(rng.uniform_int(0, 120));
+      out.push_back(r);
+    }
+    return out;
+  }();
+  return stream;
+}
+
+/// Route the mixed stream through `set` in batches of varied size (single
+/// records, datagram-sized, and across the 512-record chunk edge). Every
+/// object's hook must see a 0/1 span equal to its match_reference on
+/// every batch, and every object's totals must equal the reference's.
+void expect_matches_reference(filter::MonitorSet& set) {
+  const std::vector<FlowRecord>& records = mixed_stream();
+  const std::size_t k_objects = set.size();
+  std::vector<Totals> want(k_objects);
+  std::vector<std::uint64_t> wrong_hits(k_objects, 0);
+  std::vector<std::uint64_t> calls(k_objects, 0);
+  std::size_t k = 0;
+  for (const auto& obj : set) {
+    const filter::CompiledFilter* f = &obj->filter();
+    obj->set_batch_hook([&, k, f](std::span<const FlowRecord> batch,
+                                  std::span<const std::uint8_t> hits,
+                                  const filter::FlowColumns&) {
+      ++calls[k];
+      if (hits.size() != batch.size()) {
+        ++wrong_hits[k];
+        return;
+      }
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const bool ref = f->match_reference(batch[i]);
+        if (hits[i] != (ref ? 1 : 0)) ++wrong_hits[k];
+        if (!ref) continue;
+        ++want[k].flows;
+        want[k].bytes += batch[i].bytes;
+        want[k].packets += batch[i].packets;
+      }
+    });
+    ++k;
+  }
+  static constexpr std::size_t kSizes[] = {1, 21, 4, 512, 3, 513, 64, 1000, 2, 511};
+  std::size_t batches = 0;
+  for (std::size_t base = 0, s = 0; base < records.size(); ++s, ++batches) {
+    const std::size_t n = std::min(kSizes[s % std::size(kSizes)],
+                                   records.size() - base);
+    set.route_batch(std::span<const FlowRecord>(records).subspan(base, n));
+    base += n;
+  }
+  // Most objects must both match and miss, or the comparison is vacuous.
+  std::size_t mixed = 0;
+  for (const Totals& t : want) mixed += t.flows > 0 && t.flows < records.size();
+  EXPECT_GE(2 * mixed, k_objects);
+  k = 0;
+  for (const auto& obj : set) {
+    obj->set_batch_hook({});
+    EXPECT_EQ(calls[k], batches) << obj->name();
+    EXPECT_EQ(wrong_hits[k], 0u) << obj->name() << ": " << obj->filter().source();
+    EXPECT_EQ(object_totals(*obj), want[k])
+        << obj->name() << ": " << obj->filter().source();
+    ++k;
+  }
+}
+
+/// Random filter expressions over a shared atom pool, so objects overlap
+/// and repeat subtrees (in any operand order) under and/or/not.
+class RandomFilters {
+ public:
+  explicit RandomFilters(std::uint64_t seed) : rng_(seed) {
+    for (int i = 0; i < 6; ++i) shared_.push_back(expr(2));
+  }
+
+  [[nodiscard]] std::string expr(int depth) {
+    if (depth == 0 || rng_.bernoulli(0.25)) {
+      if (!shared_.empty() && rng_.bernoulli(0.3)) {
+        return "(" + shared_[rng_.uniform_u64(shared_.size())] + ")";
+      }
+      return kAtoms[rng_.uniform_u64(std::size(kAtoms))];
+    }
+    const std::uint64_t op = rng_.uniform_u64(5);
+    if (op == 0) return "not (" + expr(depth - 1) + ")";
+    const char* join = op < 3 ? " and " : " or ";
+    return "(" + expr(depth - 1) + join + expr(depth - 1) + ")";
+  }
+
+ private:
+  static constexpr const char* kAtoms[] = {
+      "proto tcp",
+      "proto udp,icmp",
+      "port 443",
+      "dst port 443,8443",
+      "src port 1024-65535",
+      "proto udp and port 443",
+      "proto tcp and port 80,443",
+      "port 443 and proto tcp",
+      "src net 10.0.0.0/8",
+      "net 198.51.100.0/24,203.0.113.0/24",
+      "dst net 2001:db8::/32",
+      "asn 64700",
+      "asn 15169,3320",
+      "src asn 64700,3320",
+      "dst asn 32934",
+      "tcp-flags syn,ack",
+      "tcp-flags any rst,fin",
+      "bytes > 1m",
+      "pps <= 100",
+      "bps > 1m",
+      "packets >= 10k",
+  };
+
+  util::Rng rng_;
+  std::vector<std::string> shared_;
+};
+
+/// Add up to `count` random objects (always-false draws, which compile()
+/// rejects, are redrawn). First-match guards over earlier objects are
+/// mixed in, as in the Table-1 set.
+void add_random_objects(filter::MonitorSet& set, std::size_t count,
+                        std::uint64_t seed) {
+  RandomFilters gen(seed);
+  std::vector<std::string> earlier;
+  while (set.size() < count) {
+    std::string e = gen.expr(3);
+    if (earlier.size() >= 2 && set.size() % 4 == 3) {
+      std::string guard;
+      for (std::size_t i = earlier.size() - 3; i < earlier.size(); ++i) {
+        if (!guard.empty()) guard += " or ";
+        guard += earlier[i];
+      }
+      e = "(" + e + ") and not (" + guard + ")";
+    }
+    try {
+      set.add("obj" + std::to_string(set.size()), e);
+      earlier.push_back(e);
+    } catch (const filter::FilterError&) {
+    }
+  }
+}
+
+TEST(MonitorFused, Table1ObjectsMatchReference) {
+  const auto registry = synth::AsRegistry::create_default();
+  filter::MonitorSet set(&registry.trie());
+  analysis::add_monitor_definitions(
+      set, analysis::dsl_monitor_definitions(analysis::AppClassifier::table1()));
+  ASSERT_EQ(set.size(), 9u);
+  expect_matches_reference(set);
+}
+
+TEST(MonitorFused, RandomOverlappingSetsMatchReference) {
+  const auto registry = synth::AsRegistry::create_default();
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    filter::MonitorSet set(&registry.trie());
+    add_random_objects(set, 12, seed);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_matches_reference(set);
+  }
+}
+
+TEST(MonitorFused, EmptyAndSingleObjectSets) {
+  const auto registry = synth::AsRegistry::create_default();
+  filter::MonitorSet empty(&registry.trie());
+  EXPECT_EQ(empty.plan().outputs(), 0u);
+  empty.route_batch(std::span<const FlowRecord>(mixed_stream()).first(1000));
+
+  filter::MonitorSet one(&registry.trie());
+  one.add("only", "proto tcp and port 443 or asn 15169 and not bytes > 1m");
+  EXPECT_EQ(one.plan().mask_words(), 1u);
+  expect_matches_reference(one);
+}
+
+TEST(MonitorFused, SeventyObjectsSpillToASecondMaskWord) {
+  const auto registry = synth::AsRegistry::create_default();
+  filter::MonitorSet set(&registry.trie());
+  add_random_objects(set, 70, 7);
+  ASSERT_EQ(set.size(), 70u);
+  EXPECT_EQ(set.plan().mask_words(), 2u);
+  expect_matches_reference(set);
+}
+
+TEST(MonitorFused, MoreThan64AsListsSpillTheAsnIndex) {
+  const auto registry = synth::AsRegistry::create_default();
+  filter::MonitorSet set(&registry.trie());
+  // 80 objects over 80 distinct overlapping AS lists, in all three
+  // directions, some guarded by a neighbour's list.
+  for (std::uint32_t k = 0; k < 80; ++k) {
+    const std::uint32_t a = kListAsBase + (k * 2) % kListAsCount;
+    const std::string list = std::to_string(a) + "," + std::to_string(a + 1) +
+                             "," + std::to_string(a + 3);
+    const char* dir = k % 3 == 0 ? "src " : k % 3 == 1 ? "dst " : "";
+    std::string e = std::string(dir) + "asn " + list;
+    if (k % 5 == 4) e += " and not asn " + std::to_string(a + 2) + ",15169";
+    set.add("as" + std::to_string(k), e);
+  }
+  EXPECT_GT(set.plan().asn_set_count(), 64u);
+  EXPECT_EQ(set.plan().mask_words(), 2u);
+  expect_matches_reference(set);
+}
+
+TEST(MonitorFused, SharedSubtreesAndGuardsAreOneNode) {
+  filter::MonitorSet set;
+  set.add("a", "proto tcp and port 443 or asn 15169");
+  const std::size_t nodes = set.plan().node_count();
+  // Same expression up to operand order, list order and negation: no node.
+  set.add("b", "asn 15169 or (port 443 and proto tcp)");
+  set.add("c", "not (proto tcp and port 443 or asn 15169)");
+  EXPECT_EQ(set.plan().node_count(), nodes);
+
+  // Table 1: a further guard over every class is one `or` node over the
+  // last guard and the last class union.
+  const auto registry = synth::AsRegistry::create_default();
+  filter::MonitorSet table1(&registry.trie());
+  const auto defs =
+      analysis::dsl_monitor_definitions(analysis::AppClassifier::table1());
+  analysis::add_monitor_definitions(table1, defs);
+  const std::size_t before = table1.plan().node_count();
+  std::string all;
+  for (const auto& def : defs) {
+    const std::string u =
+        def.expression.substr(0, def.expression.find(") and not (") + 1);
+    if (!all.empty()) all += " or ";
+    all += u;
+  }
+  table1.add("unclassified", "not (" + all + ")");
+  EXPECT_EQ(table1.plan().node_count(), before + 1);
 }
 
 TEST(MonitorSet, FlowScaleRescalesFlowCountsOnly) {

@@ -92,7 +92,7 @@ TEST(TraceFile, DiskRoundTrip) {
   for (std::uint64_t i = 0; i < 50; ++i) {
     writer.append(request_flow(i, Timestamp(9000)));
   }
-  ASSERT_TRUE(writer.write_file(path));
+  ASSERT_EQ(writer.write_file(path), "");
   const auto result = read_trace_file(path);
   ASSERT_TRUE(result);
   EXPECT_EQ(result->records.size(), 50u);

@@ -155,6 +155,65 @@ TEST(TraceTracer, MultiThreadSpansLandInPerThreadRings) {
   EXPECT_EQ(tracer.dropped(), 0u);
 }
 
+TEST(TraceTracer, ExitedThreadsRingsAreReusedPastTheRetentionCap) {
+  // Threads that come and go one after another (a daemon restarted per
+  // run, a pool rebuilt per job): a tracer with a retention cap, like
+  // Tracer::instance(), keeps the rings of the last kRetained exited
+  // threads and reuses the oldest beyond that.
+  constexpr std::size_t kRetained = 6;
+  Tracer tracer(64, kRetained);
+  const std::uint32_t id = tracer.intern("t", "churn");
+  constexpr std::size_t kThreads = kRetained + 5;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    std::thread([&tracer, id, t] {
+      tracer.set_this_thread_name("job-" + std::to_string(t));
+      const std::uint64_t now = trace_now_ns();
+      tracer.emit(id, now, now + 1, t);
+    }).join();
+  }
+  EXPECT_EQ(tracer.threads(), kRetained);
+  std::vector<SpanEvent> out;
+  EXPECT_EQ(tracer.drain(out), kRetained);
+  // The survivors are the most recent threads' spans; the five rings
+  // taken over still held one undrained span each.
+  std::set<std::uint64_t> args;
+  for (const SpanEvent& e : out) args.insert(e.arg);
+  EXPECT_EQ(*args.begin(), kThreads - kRetained);
+  EXPECT_EQ(tracer.dropped(), kThreads - kRetained);
+  // A live thread's ring is never taken over.
+  std::thread([&tracer, id] {
+    const std::uint64_t now = trace_now_ns();
+    tracer.emit(id, now, now + 1, 99);
+    std::thread([&tracer, id] {
+      const std::uint64_t t = trace_now_ns();
+      tracer.emit(id, t, t + 1, 100);
+    }).join();
+    tracer.emit(id, now, now + 2, 101);
+  }).join();
+  out.clear();
+  tracer.drain(out);
+  args.clear();
+  for (const SpanEvent& e : out) args.insert(e.arg);
+  EXPECT_EQ(args, (std::set<std::uint64_t>{99, 100, 101}));
+}
+
+TEST(TraceTracer, DefaultTracerKeepsEveryExitedThreadsRing) {
+  // A run-scoped tracer exported once at the end keeps every span.
+  Tracer tracer(64);
+  const std::uint32_t id = tracer.intern("t", "run");
+  constexpr std::size_t kThreads = Tracer::kRetainedRings + 4;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    std::thread([&tracer, id, t] {
+      const std::uint64_t now = trace_now_ns();
+      tracer.emit(id, now, now + 1, t);
+    }).join();
+  }
+  EXPECT_EQ(tracer.threads(), kThreads);
+  std::vector<SpanEvent> out;
+  EXPECT_EQ(tracer.drain(out), kThreads);
+  EXPECT_EQ(tracer.dropped(), 0u);
+}
+
 TEST(TraceTracer, DisabledTracerEmitsNothing) {
   Tracer tracer(64);
   const std::uint32_t id = tracer.intern("t", "off");

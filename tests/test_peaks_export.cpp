@@ -132,7 +132,7 @@ TEST(Export, WriteCsvRoundTrip) {
       (std::filesystem::temp_directory_path() / "lockdown_export_test.csv").string();
   util::Table t({"a", "b"});
   t.add_row({"1", "2"});
-  ASSERT_TRUE(write_csv(t, path));
+  ASSERT_EQ(write_csv(t, path), "");
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
   char buf[64] = {};
@@ -140,7 +140,7 @@ TEST(Export, WriteCsvRoundTrip) {
   std::fclose(f);
   std::remove(path.c_str());
   EXPECT_EQ(std::string(buf, n), "a,b\n1,2\n");
-  EXPECT_FALSE(write_csv(t, "/nonexistent-dir-xyz/file.csv"));
+  EXPECT_NE(write_csv(t, "/nonexistent-dir-xyz/file.csv"), "");
 }
 
 }  // namespace

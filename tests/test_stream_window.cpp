@@ -166,6 +166,30 @@ TEST(StreamWindow, LateRecordsCountIntoCurrentWindow) {
   EXPECT_EQ(done[1].total.bytes, 1007u);
 }
 
+TEST(StreamWindow, LateRecordsAreCountedAndStillFolded) {
+  WindowAggregator agg({.window_seconds = 60});
+  std::vector<FlowRecord> batch{rec(10), rec(70)};
+  EXPECT_EQ(agg.accumulate(batch, {}), 0u);  // now filling [60, 120)
+  // k = 3 back-dated records (one per earlier slot, one at the boundary
+  // edge), one on-time record, and a back-dated miss the mask drops.
+  batch = {rec(5, 443, IpProtocol::kTcp, 7, 1), rec(80),
+           rec(59, 443, IpProtocol::kTcp, 20, 2),
+           rec(0, 443, IpProtocol::kTcp, 300, 3), rec(1)};
+  const std::vector<std::uint8_t> hits{1, 1, 1, 1, 0};
+  EXPECT_EQ(agg.accumulate(batch, hits), 3u);
+  EXPECT_EQ(agg.late_records(), 3u);
+  agg.flush();
+  const auto done = drain_all(agg);
+  // Totals are the late policy's: the three stragglers fold into [60, 120).
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].total, (stream::WindowAcc{1, 1000, 10}));
+  EXPECT_EQ(done[1].begin.seconds(), 60);
+  // rec(70), the on-time rec(80), and the three stragglers.
+  EXPECT_EQ(done[1].total, (stream::WindowAcc{5, 1000 + 1000 + 7 + 20 + 300,
+                                              10 + 10 + 1 + 2 + 3}));
+  EXPECT_EQ(agg.late_records(), 3u);
+}
+
 TEST(StreamWindow, GapEmitsEmptyWindowsCappedThenSkips) {
   WindowAggregator agg({.window_seconds = 60, .max_gap_windows = 4});
   std::vector<FlowRecord> batch{rec(0)};
@@ -567,6 +591,51 @@ TEST(StreamWindowEngine, EventsFireCountersSinksAndMetrics) {
 
   streamer.unbind_metrics();
   EXPECT_EQ(registry.expose_text().find("stream_"), std::string::npos);
+}
+
+TEST(StreamWindowEngine, LateRecordCounterPerObject) {
+  filter::MonitorSet monitors;
+  monitors.add("web", "proto tcp and dst port 443");
+  monitors.add("dns", "proto udp and dst port 53");
+  stream::StreamMonitor streamer(monitors,
+                                 {.window = {.window_seconds = 60}});
+  obs::Registry registry;
+  streamer.bind_metrics(registry);
+
+  // Anchor both objects in [60, 120), then route k = 4 back-dated web
+  // records and one back-dated dns record among on-time traffic.
+  std::vector<FlowRecord> batch{rec(70, 443, IpProtocol::kTcp),
+                                rec(71, 53, IpProtocol::kUdp)};
+  monitors.route_batch(batch);
+  batch = {rec(3, 443, IpProtocol::kTcp),  rec(90, 443, IpProtocol::kTcp),
+           rec(20, 443, IpProtocol::kTcp), rec(40, 53, IpProtocol::kUdp),
+           rec(58, 443, IpProtocol::kTcp), rec(59, 443, IpProtocol::kTcp)};
+  monitors.route_batch(batch);
+  streamer.flush();
+  std::map<std::string, std::vector<stream::WindowAcc>> windows;
+  streamer.set_window_sink(
+      [&](const stream::ObjectStream& os, const stream::WindowResult& r) {
+        windows[os.name()].push_back(r.total);
+      });
+  (void)streamer.poll();
+
+  EXPECT_EQ(streamer.find("web")->late_records(), 4u);
+  EXPECT_EQ(streamer.find("dns")->late_records(), 1u);
+  const auto snap = registry.snapshot();
+  EXPECT_EQ(
+      snap.counter_value("stream_late_records_total", "object=\"web\""), 4u);
+  EXPECT_EQ(
+      snap.counter_value("stream_late_records_total", "object=\"dns\""), 1u);
+  EXPECT_NE(registry.expose_text().find("# HELP stream_late_records_total"),
+            std::string::npos);
+  // The count changes no window: every record sits in the one window.
+  ASSERT_EQ(windows["web"].size(), 1u);
+  EXPECT_EQ(windows["web"][0], (stream::WindowAcc{6, 6000, 60}));
+  ASSERT_EQ(windows["dns"].size(), 1u);
+  EXPECT_EQ(windows["dns"][0], (stream::WindowAcc{2, 2000, 20}));
+
+  streamer.unbind_metrics();
+  EXPECT_EQ(registry.expose_text().find("stream_late"), std::string::npos);
 }
 
 TEST(StreamWindowEngine, ConcurrentRouteBatchConservesPerObjectTotals) {
