@@ -30,17 +30,16 @@ Measurement measure(const flow::Anonymizer* anonymizer) {
   analysis::ClassActivityTracker tracker(classifier, view,
                                          analysis::AppClass::kGaming);
   double bytes = 0.0;
-
-  const synth::FlowSynthesizer synth(ixp.model, registry(),
-                                     {.connections_per_hour = 500});
-  flow::ExportPump pump(ixp.protocol,
-                        [&](const flow::FlowRecord& r) {
-                          bytes += static_cast<double>(r.bytes);
-                          tracker.add(r);
-                        },
-                        anonymizer);
-  synth.synthesize(TimeRange::day_of(Date(2020, 3, 25)), pump.as_sink());
-  pump.flush();
+  filter::FlowColumns cols;
+  analysis::synthesize_through_wire(
+      ixp, registry(), TimeRange::day_of(Date(2020, 3, 25)),
+      {.connections_per_hour = 500},
+      [&](std::span<const flow::FlowRecord> batch) {
+        for (const flow::FlowRecord& r : batch) bytes += static_cast<double>(r.bytes);
+        cols.build(batch, &registry().trie());
+        tracker.add_batch(batch, cols);
+      },
+      anonymizer);
 
   Measurement m;
   m.total_bytes = bytes;

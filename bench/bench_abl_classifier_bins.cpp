@@ -1,6 +1,7 @@
 // Ablation: pattern-classifier aggregation window (DESIGN.md section 5),
 // plus the app-classifier compilation ablation (DESIGN.md section 9):
-// flat-table classify() vs the interpreted classify_reference() scan on
+// flat-table classify() vs the interpreted registry scan (the test oracle
+// oracle::classify_reference()) on
 // identical traffic. The reproduction prints only their agreement; the
 // speedup is timed by BM_AppClassify_Reference / BM_AppClassify_Flat and
 // gated (>= 5x) by scripts/bench_compare.py.
@@ -13,6 +14,7 @@
 #include "analysis/pattern.hpp"
 #include "analysis/volume.hpp"
 #include "bench_common.hpp"
+#include "oracle/classify_oracle.hpp"
 
 namespace lockdown::bench {
 namespace {
@@ -29,11 +31,11 @@ void print_reproduction() {
 
   const auto isp = synth::build_vantage(VantagePointId::kIspCe, registry(),
                                         {.seed = 42, .enterprise_transit = false});
-  analysis::VolumeAggregator agg(stats::Bucket::kHour);
-  run_pipeline(isp,
-               TimeRange{Timestamp::from_date(Date(2020, 1, 1)),
-                         Timestamp::from_date(Date(2020, 5, 12))},
-               220, agg.sink());
+  const auto agg =
+      scan(isp,
+           {TimeRange{Timestamp::from_date(Date(2020, 1, 1)),
+                      Timestamp::from_date(Date(2020, 5, 12))}},
+           220, [] { return analysis::VolumeAggregator(stats::Bucket::kHour); });
 
   util::Table table({"bin width", "pre-lockdown agreement",
                      "post-lockdown weekend-like"});
@@ -81,7 +83,8 @@ void print_app_classifier_ablation() {
 
   std::size_t agree = 0;
   for (const auto& r : records) {
-    agree += classifier.classify(r, view) == classifier.classify_reference(r, view)
+    agree += classifier.classify(r, view) ==
+                     oracle::classify_reference(classifier, r, view)
                  ? 1
                  : 0;
   }
@@ -95,11 +98,11 @@ void print_app_classifier_ablation() {
 void BM_Abl_ClassifierBins(benchmark::State& state) {
   const auto isp = synth::build_vantage(VantagePointId::kIspCe, registry(),
                                         {.seed = 42, .enterprise_transit = false});
-  analysis::VolumeAggregator agg(stats::Bucket::kHour);
-  run_pipeline(isp,
-               TimeRange{Timestamp::from_date(Date(2020, 2, 1)),
-                         Timestamp::from_date(Date(2020, 4, 1))},
-               200, agg.sink());
+  const auto agg =
+      scan(isp,
+           {TimeRange{Timestamp::from_date(Date(2020, 2, 1)),
+                      Timestamp::from_date(Date(2020, 4, 1))}},
+           200, [] { return analysis::VolumeAggregator(stats::Bucket::kHour); });
   for (auto _ : state) {
     analysis::PatternClassifier classifier(static_cast<unsigned>(state.range(0)));
     classifier.train(agg.series(), TimeRange{Timestamp::from_date(Date(2020, 2, 1)),
@@ -149,7 +152,7 @@ void BM_AppClassify_Reference(benchmark::State& state) {
   for (auto _ : state) {
     std::size_t hits = 0;
     for (const auto& r : f.records) {
-      hits += f.classifier.classify_reference(r, f.view).has_value() ? 1 : 0;
+      hits += oracle::classify_reference(f.classifier, r, f.view).has_value() ? 1 : 0;
     }
     benchmark::DoNotOptimize(hits);
   }
@@ -157,18 +160,6 @@ void BM_AppClassify_Reference(benchmark::State& state) {
                           static_cast<std::int64_t>(f.records.size()));
 }
 BENCHMARK(BM_AppClassify_Reference)->Unit(benchmark::kMillisecond);
-
-void BM_AppClassify_Batch(benchmark::State& state) {
-  const auto& f = app_fixture();
-  std::vector<std::optional<synth::AppClass>> out(f.records.size());
-  for (auto _ : state) {
-    f.classifier.classify_batch(f.records, f.view, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(f.records.size()));
-}
-BENCHMARK(BM_AppClassify_Batch)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace lockdown::bench

@@ -23,12 +23,15 @@ double measure_growth(std::uint32_t sampling_interval) {
   auto week_total = [&](Date start) {
     flow::SystematicSampler sampler(sampling_interval);
     double total = 0.0;
-    run_pipeline(isp, TimeRange::week_of(start), 600,
-                 [&](const flow::FlowRecord& r) {
-                   if (const auto kept = sampler.offer(r)) {
-                     total += static_cast<double>(kept->bytes);
-                   }
-                 });
+    analysis::synthesize_through_wire(
+        isp, registry(), TimeRange::week_of(start), synth_config(600),
+        [&](std::span<const flow::FlowRecord> batch) {
+          for (const flow::FlowRecord& r : batch) {
+            if (const auto kept = sampler.offer(r)) {
+              total += static_cast<double>(kept->bytes);
+            }
+          }
+        });
     return total;
   };
   const double base = week_total(Date(2020, 2, 19));

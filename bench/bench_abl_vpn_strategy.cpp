@@ -44,14 +44,18 @@ void print_reproduction() {
              ixp.model.expected_bytes(vpn_nat, h) +
              ixp.model.expected_bytes(vpn_gre, h);
   }
-  run_pipeline(ixp, week, 900, [&](const flow::FlowRecord& r) {
-    const bool port = analysis::VpnAnalyzer::is_port_vpn(r);
-    const bool domain = analyzer.is_domain_vpn(r);
-    const auto bytes = static_cast<double>(r.bytes);
-    if (port) port_found += bytes;
-    if (domain) domain_found += bytes;
-    if (port || domain) both_found += bytes;
-  });
+  analysis::synthesize_through_wire(
+      ixp, registry(), week, synth_config(900),
+      [&](std::span<const flow::FlowRecord> batch) {
+        for (const flow::FlowRecord& r : batch) {
+          const bool port = analysis::VpnAnalyzer::is_port_vpn(r);
+          const bool domain = analyzer.is_domain_vpn(r);
+          const auto bytes = static_cast<double>(r.bytes);
+          if (port) port_found += bytes;
+          if (domain) domain_found += bytes;
+          if (port || domain) both_found += bytes;
+        }
+      });
 
   util::Table table({"strategy", "VPN bytes recovered", "share of ground truth"});
   table.add_row({"ports only", util::format_bytes(port_found),

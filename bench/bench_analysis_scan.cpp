@@ -2,10 +2,11 @@
 // (DESIGN.md §15): the cost of running the full figure-aggregator set over
 // one record stream, three ways.
 //
-//   BM_AnalysisPerRecord    the seed path: one type-erased std::function
-//                           sink call per (record, aggregator), every
-//                           aggregator re-deriving service keys, endpoint
-//                           ASes and calendar facts per record.
+//   BM_AnalysisPerRecord    the record-at-a-time reference: every record
+//                           through the 1-record adapter (its own
+//                           FlowColumns, then every aggregator's add_batch),
+//                           the monitor filters checked by the tree-walking
+//                           oracle::match_reference.
 //   BM_AnalysisBatchColumns the columnar path: FlowColumns built once per
 //                           4096-record chunk, every aggregator's
 //                           add_batch() reading the shared columns.
@@ -29,6 +30,7 @@
 #include "analysis/vpn.hpp"
 #include "bench_common.hpp"
 #include "filter/plan.hpp"
+#include "oracle/filter_oracle.hpp"
 
 namespace lockdown::bench {
 namespace {
@@ -48,9 +50,8 @@ const std::vector<TimeRange>& analysis_weeks() {
 /// class of interest, mirroring the Table 1 / DESIGN.md §12 monitoring
 /// inventory scale (web, QUIC, VPN, conferencing, email, push, gaming,
 /// hypergiants, education). The per-record reference bundle evaluates them
-/// as interpreted std::function filters (CompiledFilter::match_reference,
-/// the seed's type-erased per-record filter cost); the columnar bundle
-/// uses the same filters as compiled FilterPlan masks over the shared
+/// with the tree-walking oracle (oracle::match_reference); the columnar
+/// bundle uses the same filters as compiled plan masks over the shared
 /// columns.
 const std::vector<filter::CompiledFilter>& monitor_filters() {
   static const std::vector<filter::CompiledFilter> filters = [] {
@@ -84,15 +85,10 @@ struct AnalysisBundle {
   analysis::ClassHeatmap heatmap;
   analysis::VpnAnalyzer vpn;
   std::vector<analysis::VolumeAggregator> monitors;
-
-  void add(const flow::FlowRecord& r) {
-    volume.add(r);
-    ports.add(r);
-    hyper.add(r);
-    heatmap.add(r);
-    vpn.add(r);
-    for (auto& m : monitors) m.add(r);
-  }
+  /// Reference arm: the monitors carry no compiled filter and the oracle
+  /// gates each batch instead. That arm feeds 1-record batches
+  /// (analysis::add_record), so one verdict covers the whole batch.
+  bool oracle_monitors = false;
 
   void add_batch(std::span<const flow::FlowRecord> records,
                  const filter::FlowColumns& cols) {
@@ -101,7 +97,13 @@ struct AnalysisBundle {
     hyper.add_batch(records, cols);
     heatmap.add_batch(records, cols);
     vpn.add_batch(records, cols);
-    for (auto& m : monitors) m.add_batch(records, cols);
+    for (std::size_t i = 0; i < monitors.size(); ++i) {
+      if (oracle_monitors &&
+          !oracle::match_reference(monitor_filters()[i], records.front())) {
+        continue;
+      }
+      monitors[i].add_batch(records, cols);
+    }
   }
 
   void merge(const AnalysisBundle& o) {
@@ -132,27 +134,21 @@ struct ScanFixture {
     }
   }
 
-  /// `interpreted_monitors`: evaluate the monitor filters as per-record
-  /// std::function filters over the retained AST (the seed shape) instead
-  /// of compiled FilterPlan masks. Results are identical either way (the
-  /// plan is fuzz-pinned against match_reference).
-  [[nodiscard]] AnalysisBundle make_bundle(bool interpreted_monitors) const {
+  /// `oracle_monitors`: check the monitor filters record by record with
+  /// the tree-walking oracle instead of compiled plan masks. Results are
+  /// identical either way (the plan is fuzz-pinned against the oracle).
+  [[nodiscard]] AnalysisBundle make_bundle(bool oracle_monitors) const {
     AnalysisBundle b{
         analysis::VolumeAggregator(stats::Bucket::kDay),
         analysis::PortAnalyzer(analysis_weeks()),
         analysis::HypergiantAnalyzer(view, hypergiants),
         analysis::ClassHeatmap(classifier, view, analysis_weeks()),
         analysis::VpnAnalyzer(analysis_weeks(), {}),
-        {}};
+        {},
+        oracle_monitors};
     for (const filter::CompiledFilter& plan : monitor_filters()) {
-      if (interpreted_monitors) {
-        b.monitors.emplace_back(stats::Bucket::kDay,
-                                [p = &plan](const flow::FlowRecord& r) {
-                                  return p->match_reference(r);
-                                });
-      } else {
-        b.monitors.emplace_back(stats::Bucket::kDay, &plan);
-      }
+      b.monitors.emplace_back(stats::Bucket::kDay,
+                              oracle_monitors ? nullptr : &plan);
     }
     return b;
   }
@@ -187,14 +183,8 @@ std::string render(AnalysisBundle& b) {
 }
 
 void run_per_record(AnalysisBundle& b) {
-  // The seed consumption shape: a list of per-record std::function sinks
-  // (flow::Collector::Sink), one type-erased call per (record, aggregator).
-  std::vector<std::function<void(const flow::FlowRecord&)>> sinks = {
-      b.volume.sink(), b.ports.sink(), b.hyper.sink(), b.heatmap.sink(),
-      b.vpn.sink()};
-  for (auto& m : b.monitors) sinks.push_back(m.sink());
   for (const flow::FlowRecord& r : fixture().records) {
-    for (const auto& sink : sinks) sink(r);
+    analysis::add_record(b, r, &registry().trie());
   }
 }
 

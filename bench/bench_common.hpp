@@ -5,18 +5,24 @@
 
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
+#include <sys/utsname.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/as_view.hpp"
-#include "flow/pipeline.hpp"
+#include "analysis/scan.hpp"
+#include "obs/build_info.hpp"
 #include "synth/as_registry.hpp"
 #include "synth/synthesizer.hpp"
 #include "synth/vantage.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -86,32 +92,28 @@ inline void parse_thread_flags(int& argc, char** argv) {
   argc = parse_size_flag(argc, argv, "--scan-threads", scan_threads());
 }
 
-/// Synthesize `range` at a vantage point and deliver every record through
-/// the full wire pipeline (encode -> datagrams -> decode) into `sink`.
-template <typename Sink>
-void run_pipeline(const synth::VantagePoint& vp, net::TimeRange range,
-                  double connections_per_hour, Sink&& sink) {
-  const synth::FlowSynthesizer synth(
-      vp.model, registry(),
-      {.connections_per_hour = connections_per_hour, .gen_threads = gen_threads()});
-  flow::ExportPump pump(vp.protocol, std::forward<Sink>(sink));
-  synth.synthesize(range, pump.as_sink());
-  pump.flush();
+/// Synthesis settings of every bench stream: `connections_per_hour` on
+/// gen_threads() generator threads.
+inline synth::SynthesisConfig synth_config(double connections_per_hour) {
+  return {.connections_per_hour = connections_per_hour,
+          .gen_threads = gen_threads()};
 }
 
-/// Like run_pipeline, but the sink is span-shaped (one call per decoded
-/// datagram, flow::Collector::BatchSink) -- the compiled hot path the
-/// classification benches measure.
-template <typename BatchSink>
-void run_pipeline_batches(const synth::VantagePoint& vp, net::TimeRange range,
-                          double connections_per_hour, BatchSink&& sink) {
-  const synth::FlowSynthesizer synth(
-      vp.model, registry(),
-      {.connections_per_hour = connections_per_hour, .gen_threads = gen_threads()});
-  flow::ExportPump pump(vp.protocol,
-                        flow::ExportPump::BatchSink(std::forward<BatchSink>(sink)));
-  synth.synthesize(range, pump.as_sink());
-  pump.flush();
+/// Synthesize `ranges` at a vantage point through the wire pipeline into a
+/// ScanEngine of scan_threads() lanes, each lane aggregating into its own
+/// `factory()` bundle, and return the merged bundle. Endpoint ASes resolve
+/// against registry().trie(), the snapshot every bench AsView uses.
+template <typename Factory>
+[[nodiscard]] std::invoke_result_t<Factory> scan(
+    const synth::VantagePoint& vp, const std::vector<net::TimeRange>& ranges,
+    double connections_per_hour, const Factory& factory) {
+  analysis::ScanEngine<std::invoke_result_t<Factory>> engine(
+      static_cast<unsigned>(scan_threads()), factory, &registry().trie());
+  for (const net::TimeRange& range : ranges) {
+    analysis::synthesize_through_wire(vp, registry(), range,
+                                      synth_config(connections_per_hour), engine);
+  }
+  return std::move(engine.finish());
 }
 
 inline std::string fmt(double v, int decimals = 2) {
@@ -132,10 +134,12 @@ inline void bench_pipeline_day(benchmark::State& state, synth::VantagePointId id
   for (auto _ : state) {
     std::uint64_t bytes = 0;
     std::size_t records = 0;
-    run_pipeline(vp, day, 500, [&](const flow::FlowRecord& r) {
-      bytes += r.bytes;
-      ++records;
-    });
+    analysis::synthesize_through_wire(
+        vp, registry(), day, synth_config(500),
+        [&](std::span<const flow::FlowRecord> batch) {
+          for (const flow::FlowRecord& r : batch) bytes += r.bytes;
+          records += batch.size();
+        });
     benchmark::DoNotOptimize(bytes);
     state.counters["records"] =
         benchmark::Counter(static_cast<double>(records));
@@ -205,13 +209,38 @@ inline std::string json_escape(const std::string& s) {
   return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
 }
 
+/// The host a bench ran on, in the fields of perfbench's HostStamp, as a
+/// JSON object: results from different hosts are not comparable.
+[[nodiscard]] inline std::string host_json() {
+  std::string cpu_model;
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      if (const auto colon = line.find(':'); colon != std::string::npos) {
+        const auto begin = line.find_first_not_of(' ', colon + 1);
+        if (begin != std::string::npos) cpu_model = line.substr(begin);
+      }
+      break;
+    }
+  }
+  utsname u{};
+  const std::string kernel = uname(&u) == 0 ? u.release : "";
+  const auto& info = obs::build_info();
+  return "{\"nproc\": " + std::to_string(sysconf(_SC_NPROCESSORS_ONLN)) +
+         ", \"cpu_model\": \"" + json_escape(cpu_model) + "\", \"kernel\": \"" +
+         json_escape(kernel) + "\", \"compiler\": \"" + json_escape(info.compiler) +
+         "\", \"build_type\": \"" + json_escape(LOCKDOWN_BENCH_BUILD_TYPE) +
+         "\", \"git_sha\": \"" + json_escape(info.git_sha) + "\"}";
+}
+
 /// Write `BENCH_<binary-name>.json` into $LOCKDOWN_BENCH_JSON_DIR (cwd if
 /// unset). No file is written when no benchmark ran (e.g. a
 /// --benchmark_filter that matches nothing), so CI artifacts only contain
-/// real measurements.
-inline void write_bench_json(const char* argv0,
-                             const std::vector<BenchJsonEntry>& entries) {
-  if (entries.empty()) return;
+/// real measurements. Returns false, after naming the path and the reason
+/// on stderr, when the file cannot be written.
+[[nodiscard]] inline bool write_bench_json(
+    const char* argv0, const std::vector<BenchJsonEntry>& entries) {
+  if (entries.empty()) return true;
   std::string base = argv0 != nullptr ? argv0 : "bench";
   if (const auto slash = base.find_last_of('/'); slash != std::string::npos) {
     base = base.substr(slash + 1);
@@ -222,13 +251,10 @@ inline void write_bench_json(const char* argv0,
     dir = env;
   }
   const std::string path = dir + "/BENCH_" + base + ".json";
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "warning: cannot write " << path << "\n";
-    return;
-  }
-  out << "{\n  \"binary\": \"" << json_escape(base) << "\",\n  \"max_rss_bytes\": "
-      << max_rss_bytes() << ",\n  \"benchmarks\": [\n";
+  std::ostringstream out;
+  out << "{\n  \"binary\": \"" << json_escape(base) << "\",\n  \"host\": "
+      << host_json() << ",\n  \"max_rss_bytes\": " << max_rss_bytes()
+      << ",\n  \"benchmarks\": [\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const BenchJsonEntry& e = entries[i];
     out << "    {\"name\": \"" << json_escape(e.name) << "\", \"ns_per_op\": "
@@ -236,11 +262,19 @@ inline void write_bench_json(const char* argv0,
         << (i + 1 < entries.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
+  const std::string json = out.str();
+  if (const std::string err = util::write_whole_file(path, json.data(), json.size());
+      !err.empty()) {
+    std::cerr << "error: cannot write " << path << ": " << err << "\n";
+    return false;
+  }
+  return true;
 }
 
 /// Print-then-benchmark main. Define `print_reproduction()` in the binary
 /// and call LOCKDOWN_BENCH_MAIN(print_reproduction). Timings additionally
-/// land in BENCH_<binary>.json (see write_bench_json).
+/// land in BENCH_<binary>.json (see write_bench_json); the binary exits 1
+/// when that file cannot be written.
 #define LOCKDOWN_BENCH_MAIN(print_fn)                       \
   int main(int argc, char** argv) {                         \
     ::lockdown::bench::parse_thread_flags(argc, argv);      \
@@ -249,9 +283,10 @@ inline void write_bench_json(const char* argv0,
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1; \
     ::lockdown::bench::JsonCollectingReporter reporter;     \
     ::benchmark::RunSpecifiedBenchmarks(&reporter);         \
-    ::lockdown::bench::write_bench_json(argv[0], reporter.entries()); \
+    const bool written =                                    \
+        ::lockdown::bench::write_bench_json(argv[0], reporter.entries()); \
     ::benchmark::Shutdown();                                \
-    return 0;                                               \
+    return written ? 0 : 1;                                 \
   }
 
 }  // namespace lockdown::bench

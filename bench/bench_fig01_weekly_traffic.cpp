@@ -34,8 +34,9 @@ void print_reproduction() {
     const auto vp = synth::build_vantage(id, registry(),
                                          {.seed = 42, .enterprise_transit = false});
     header.push_back(to_string(id));
-    analysis::VolumeAggregator agg(stats::Bucket::kDay);
-    run_pipeline(vp, full, 180, agg.sink());
+    const auto agg = scan(vp, {full}, 180, [] {
+      return analysis::VolumeAggregator(stats::Bucket::kDay);
+    });
     series.push_back(analysis::weekly_normalized(agg.series(), 3));
   }
 
@@ -82,11 +83,11 @@ BENCHMARK(BM_Fig1_FullTimelineIsp)->Unit(benchmark::kMillisecond);
 void BM_Fig1_WeeklyNormalization(benchmark::State& state) {
   const auto vp = synth::build_vantage(VantagePointId::kIspCe, registry(),
                                        {.seed = 42, .enterprise_transit = false});
-  analysis::VolumeAggregator agg(stats::Bucket::kDay);
-  run_pipeline(vp,
-               TimeRange{net::Timestamp::from_date(Date(2020, 1, 1)),
-                         net::Timestamp::from_date(Date(2020, 2, 15))},
-               180, agg.sink());
+  const auto agg =
+      scan(vp,
+           {TimeRange{net::Timestamp::from_date(Date(2020, 1, 1)),
+                      net::Timestamp::from_date(Date(2020, 2, 15))}},
+           180, [] { return analysis::VolumeAggregator(stats::Bucket::kDay); });
   for (auto _ : state) {
     benchmark::DoNotOptimize(analysis::weekly_normalized(agg.series(), 3));
   }

@@ -91,26 +91,25 @@ void print_reproduction() {
 
   const auto isp = synth::build_vantage(VantagePointId::kIspCe, registry(),
                                         {.seed = 42, .enterprise_transit = false});
-  analysis::VolumeAggregator isp_agg(stats::Bucket::kHour);
-  run_pipeline(isp, full, 220, isp_agg.sink());
+  const auto hourly = [] { return analysis::VolumeAggregator(stats::Bucket::kHour); };
+  const auto isp_agg = scan(isp, {full}, 220, hourly);
   print_fig2a(isp_agg.series());
   print_fig2bc("ISP-CE", isp_agg.series());
 
   const auto ixp = synth::build_vantage(VantagePointId::kIxpCe, registry(),
                                         {.seed = 42});
-  analysis::VolumeAggregator ixp_agg(stats::Bucket::kHour);
-  run_pipeline(ixp, full, 220, ixp_agg.sink());
+  const auto ixp_agg = scan(ixp, {full}, 220, hourly);
   print_fig2bc("IXP-CE", ixp_agg.series());
 }
 
 void BM_Fig2_TrainAndClassify(benchmark::State& state) {
   const auto isp = synth::build_vantage(VantagePointId::kIspCe, registry(),
                                         {.seed = 42, .enterprise_transit = false});
-  analysis::VolumeAggregator agg(stats::Bucket::kHour);
-  run_pipeline(isp,
-               TimeRange{Timestamp::from_date(Date(2020, 2, 1)),
-                         Timestamp::from_date(Date(2020, 4, 1))},
-               200, agg.sink());
+  const auto agg =
+      scan(isp,
+           {TimeRange{Timestamp::from_date(Date(2020, 2, 1)),
+                      Timestamp::from_date(Date(2020, 4, 1))}},
+           200, [] { return analysis::VolumeAggregator(stats::Bucket::kHour); });
   for (auto _ : state) {
     analysis::PatternClassifier classifier(6);
     classifier.train(agg.series(), TimeRange{Timestamp::from_date(Date(2020, 2, 1)),

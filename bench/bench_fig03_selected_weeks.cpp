@@ -34,8 +34,9 @@ void print_isp() {
   double min_val = 0.0;
   bool first = true;
   for (const Week& w : kIspWeeks) {
-    analysis::VolumeAggregator agg(stats::Bucket::kHour);
-    run_pipeline(isp, TimeRange::week_of(w.start), 300, agg.sink());
+    const auto agg = scan(isp, {TimeRange::week_of(w.start)}, 300, [] {
+      return analysis::VolumeAggregator(stats::Bucket::kHour);
+    });
     const double m = agg.series().min_value();
     if (first || m < min_val) min_val = m;
     first = false;
@@ -77,8 +78,9 @@ void print_ixps() {
     bool first = true;
     std::vector<std::array<double, 4>> rows;
     for (const Week& w : kIspWeeks) {
-      analysis::VolumeAggregator agg(stats::Bucket::kHour);
-      run_pipeline(vp, TimeRange::week_of(w.start), 250, agg.sink());
+      const auto agg = scan(vp, {TimeRange::week_of(w.start)}, 250, [] {
+        return analysis::VolumeAggregator(stats::Bucket::kHour);
+      });
       double wd = 0, we = 0;
       int wd_n = 0, we_n = 0;
       for (const auto& [ts, v] : agg.series().points()) {

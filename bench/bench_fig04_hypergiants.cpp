@@ -19,13 +19,12 @@ void print_reproduction() {
   const auto isp = synth::build_vantage(VantagePointId::kIspCe, registry(),
                                         {.seed = 42, .enterprise_transit = false});
   const analysis::AsView view(registry().trie());
-  analysis::HypergiantAnalyzer analyzer(
-      view, analysis::AsnSet(synth::AsRegistry::hypergiant_asns()));
-
-  run_pipeline(isp,
-               TimeRange{Timestamp::from_date(Date(2020, 1, 8)),
-                         Timestamp::from_date(Date(2020, 5, 6))},
-               200, analyzer.sink());
+  const analysis::AsnSet hypergiants(synth::AsRegistry::hypergiant_asns());
+  const auto analyzer =
+      scan(isp,
+           {TimeRange{Timestamp::from_date(Date(2020, 1, 8)),
+                      Timestamp::from_date(Date(2020, 5, 6))}},
+           200, [&] { return analysis::HypergiantAnalyzer(view, hypergiants); });
 
   const auto series = analyzer.weekly_series(3);
   for (const auto slice :
@@ -71,10 +70,12 @@ void BM_Fig4_HypergiantAttribution(benchmark::State& state) {
                                      {.connections_per_hour = 400});
   const auto records = synth.collect(TimeRange::day_of(Date(2020, 3, 25)));
   const analysis::AsView view(registry().trie());
+  filter::FlowColumns cols;
+  cols.build(records, &registry().trie());
   for (auto _ : state) {
     analysis::HypergiantAnalyzer analyzer(
         view, analysis::AsnSet(synth::AsRegistry::hypergiant_asns()));
-    for (const auto& r : records) analyzer.add(r);
+    analyzer.add_batch(records, cols);
     benchmark::DoNotOptimize(analyzer.hypergiant_share());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

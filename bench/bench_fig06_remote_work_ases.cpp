@@ -26,12 +26,12 @@ void print_reproduction() {
   for (const auto* info : registry().by_role(net::AsRole::kEyeballIsp)) {
     eyeballs.push_back(info->asn);
   }
-  analysis::RemoteWorkAnalyzer analyzer(
-      view, analysis::AsnSet(eyeballs), analysis::AsnSet({net::Asn(64700)}),
-      TimeRange::week_of(Date(2020, 2, 19)), TimeRange::week_of(Date(2020, 3, 18)));
-
-  run_pipeline(isp, TimeRange::week_of(Date(2020, 2, 19)), 1200, analyzer.sink());
-  run_pipeline(isp, TimeRange::week_of(Date(2020, 3, 18)), 1200, analyzer.sink());
+  const TimeRange feb = TimeRange::week_of(Date(2020, 2, 19));
+  const TimeRange mar = TimeRange::week_of(Date(2020, 3, 18));
+  const auto analyzer = scan(isp, {feb, mar}, 1200, [&] {
+    return analysis::RemoteWorkAnalyzer(view, analysis::AsnSet(eyeballs),
+                                        analysis::AsnSet({net::Asn(64700)}), feb, mar);
+  });
 
   // 2D histogram of the shift plane (5x5 bins over [-1,1]^2), like the
   // paper's heatmap, for the workday-dominated group.
@@ -86,11 +86,13 @@ void BM_Fig6_PerAsAccumulation(benchmark::State& state) {
   for (const auto* info : registry().by_role(net::AsRole::kEyeballIsp)) {
     eyeballs.push_back(info->asn);
   }
+  filter::FlowColumns cols;
+  cols.build(records, &registry().trie());
   for (auto _ : state) {
     analysis::RemoteWorkAnalyzer analyzer(
         view, analysis::AsnSet(eyeballs), analysis::AsnSet({net::Asn(64700)}),
         TimeRange::week_of(Date(2020, 2, 19)), TimeRange::week_of(Date(2020, 3, 18)));
-    for (const auto& r : records) analyzer.add(r);
+    analyzer.add_batch(records, cols);
     benchmark::DoNotOptimize(analyzer.shifts());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

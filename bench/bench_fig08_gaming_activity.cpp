@@ -22,14 +22,16 @@ void print_reproduction() {
                                         {.seed = 42});
   const analysis::AsView view(registry().trie());
   const auto classifier = analysis::AppClassifier::table1();
-  analysis::ClassActivityTracker tracker(classifier, view,
-                                         analysis::AppClass::kGaming);
 
   // Weeks 7-17: Feb 10 - Apr 26.
-  run_pipeline(ixp,
-               TimeRange{net::Timestamp::from_date(Date(2020, 2, 10)),
-                         net::Timestamp::from_date(Date(2020, 4, 27))},
-               500, tracker.sink());
+  const auto tracker =
+      scan(ixp,
+           {TimeRange{net::Timestamp::from_date(Date(2020, 2, 10)),
+                      net::Timestamp::from_date(Date(2020, 4, 27))}},
+           500, [&] {
+             return analysis::ClassActivityTracker(classifier, view,
+                                                   analysis::AppClass::kGaming);
+           });
 
   const auto ips = tracker.daily_ip_envelope();
   const auto volume = tracker.daily_volume_envelope();
@@ -82,10 +84,12 @@ void BM_Fig8_UniqueIpTracking(benchmark::State& state) {
   const auto records = synth.collect(TimeRange::day_of(Date(2020, 3, 20)));
   const analysis::AsView view(registry().trie());
   const auto classifier = analysis::AppClassifier::table1();
+  filter::FlowColumns cols;
+  cols.build(records, &registry().trie());
   for (auto _ : state) {
     analysis::ClassActivityTracker tracker(classifier, view,
                                            analysis::AppClass::kGaming);
-    for (const auto& r : records) tracker.add(r);
+    tracker.add_batch(records, cols);
     benchmark::DoNotOptimize(tracker.hourly());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -43,8 +43,9 @@ void print_reproduction() {
   const std::vector<TimeRange> weeks = {TimeRange::week_of(Date(2020, 2, 20)),
                                         TimeRange::week_of(Date(2020, 3, 19)),
                                         TimeRange::week_of(Date(2020, 4, 23))};
-  analysis::VpnAnalyzer analyzer(weeks, funnel.candidate_ips);
-  for (const TimeRange& w : weeks) run_pipeline(ixp, w, 900, analyzer.sink());
+  const auto analyzer = scan(ixp, weeks, 900, [&] {
+    return analysis::VpnAnalyzer(weeks, funnel.candidate_ips);
+  });
 
   // Step 3: the figure -- hourly profiles per method per week, workday
   // positive / weekend negative like the paper's panels.

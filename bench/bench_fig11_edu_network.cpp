@@ -28,11 +28,12 @@ void print_reproduction() {
   const auto edu = synth::build_vantage(VantagePointId::kEdu, registry(),
                                         {.seed = 42});
   const analysis::AsView view(registry().trie());
-  analysis::EduAnalyzer analyzer(view, analysis::AsnSet(edu.local_ases),
+  std::vector<TimeRange> weeks;
+  for (const auto& w : kWeeks) weeks.push_back(TimeRange::week_of(w.start));
+  const auto analyzer = scan(edu, weeks, 800, [&] {
+    return analysis::EduAnalyzer(view, analysis::AsnSet(edu.local_ases),
                                  analysis::AsnSet(synth::AsRegistry::hypergiant_asns()));
-  for (const auto& w : kWeeks) {
-    run_pipeline(edu, TimeRange::week_of(w.start), 800, analyzer.sink());
-  }
+  });
 
   // Normalize daily volumes by the smallest observed daily volume.
   double min_volume = 0.0;

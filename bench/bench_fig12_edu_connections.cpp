@@ -22,14 +22,16 @@ void print_reproduction() {
   const auto edu = synth::build_vantage(VantagePointId::kEdu, registry(),
                                         {.seed = 42});
   const analysis::AsView view(registry().trie());
-  analysis::EduAnalyzer analyzer(view, analysis::AsnSet(edu.local_ases),
-                                 analysis::AsnSet(synth::AsRegistry::hypergiant_asns()));
-
   // The paper's EDU capture: Feb 27 - May 8 (72 days, 5.2B flows).
-  run_pipeline(edu,
-               TimeRange{Timestamp::from_date(Date(2020, 2, 27)),
-                         Timestamp::from_date(Date(2020, 5, 9))},
-               700, analyzer.sink());
+  const auto analyzer = scan(
+      edu,
+      {TimeRange{Timestamp::from_date(Date(2020, 2, 27)),
+                 Timestamp::from_date(Date(2020, 5, 9))}},
+      700, [&] {
+        return analysis::EduAnalyzer(
+            view, analysis::AsnSet(edu.local_ases),
+            analysis::AsnSet(synth::AsRegistry::hypergiant_asns()));
+      });
 
   const struct {
     const char* label;
@@ -104,10 +106,12 @@ void BM_Fig12_ConnectionAnalysis(benchmark::State& state) {
                                      {.connections_per_hour = 700});
   const auto records = synth.collect(TimeRange::day_of(Date(2020, 4, 20)));
   const analysis::AsView view(registry().trie());
+  filter::FlowColumns cols;
+  cols.build(records, &registry().trie());
   for (auto _ : state) {
     analysis::EduAnalyzer analyzer(view, analysis::AsnSet(edu.local_ases),
                                    analysis::AsnSet(synth::AsRegistry::hypergiant_asns()));
-    for (const auto& r : records) analyzer.add(r);
+    analyzer.add_batch(records, cols);
     benchmark::DoNotOptimize(analyzer.undetermined_fraction());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

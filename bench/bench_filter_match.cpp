@@ -1,6 +1,6 @@
 // Micro-benchmark for the compiled filter plans (DESIGN.md §12): the
-// tree-walking match_reference interpreter vs the flat decision-DAG
-// match_batch path, on the paper's Table 1 re-expressed as guarded
+// tree-walking reference interpreter (oracle::match_reference) vs the
+// fused plan's match_batch path, on the paper's Table 1 re-expressed as guarded
 // monitoring-object DSL expressions -- the heaviest realistic filter set
 // this repo ships (nine classes, each guarded by the union of every
 // earlier class). Prints the measured speedup (acceptance bar: >= 5x) and
@@ -21,6 +21,7 @@
 #include "bench_common.hpp"
 #include "filter/monitor.hpp"
 #include "filter/plan.hpp"
+#include "oracle/filter_oracle.hpp"
 
 namespace lockdown::bench {
 namespace {
@@ -34,11 +35,13 @@ using flow::FlowRecord;
     const auto vp = synth::build_vantage(synth::VantagePointId::kIxpCe,
                                          registry(), {.seed = 42});
     std::vector<FlowRecord> out;
-    run_pipeline(vp,
-                 net::TimeRange{
-                     net::Timestamp::from_date(net::Date(2020, 3, 25), 19),
-                     net::Timestamp::from_date(net::Date(2020, 3, 25), 21)},
-                 600, [&](const FlowRecord& r) { out.push_back(r); });
+    analysis::synthesize_through_wire(
+        vp, registry(),
+        net::TimeRange{net::Timestamp::from_date(net::Date(2020, 3, 25), 19),
+                       net::Timestamp::from_date(net::Date(2020, 3, 25), 21)},
+        synth_config(600), [&](std::span<const FlowRecord> batch) {
+          out.insert(out.end(), batch.begin(), batch.end());
+        });
     return out;
   }();
   return recs;
@@ -61,7 +64,7 @@ void match_reference_all(std::span<const FlowRecord> recs,
                          std::vector<std::size_t>& hits) {
   for (std::size_t f = 0; f < filters().size(); ++f) {
     std::size_t n = 0;
-    for (const FlowRecord& r : recs) n += filters()[f].match_reference(r);
+    for (const FlowRecord& r : recs) n += oracle::match_reference(filters()[f], r);
     hits[f] = n;
   }
 }
@@ -132,7 +135,7 @@ void route_fused(filter::MonitorSet& set, std::span<const FlowRecord> recs) {
 
 void print_reproduction() {
   std::cout << "=== Compiled filter plans: tree-walking reference vs "
-               "decision-DAG batch ===\n\n";
+               "fused-plan batch ===\n\n";
   const auto& recs = records();
   const auto defs =
       analysis::dsl_monitor_definitions(analysis::AppClassifier::table1());
@@ -186,18 +189,18 @@ void print_reproduction() {
   filter::FlowColumns cols;
   cols.build(recs, &registry().trie());
   util::Table table(
-      {"object", "steps", "matches", "share", "ref ns", "plan ns", "speedup"});
+      {"object", "nodes", "matches", "share", "ref ns", "plan ns", "speedup"});
   for (std::size_t f = 0; f < defs.size(); ++f) {
     const double fr = time_ns([&] {
       std::size_t n = 0;
-      for (const FlowRecord& r : recs) n += filters()[f].match_reference(r);
+      for (const FlowRecord& r : recs) n += oracle::match_reference(filters()[f], r);
       benchmark::DoNotOptimize(n);
     });
     const double fp = time_ns([&] {
       filters()[f].match_batch(recs, out, cols);
       benchmark::DoNotOptimize(out.data());
     });
-    table.add_row({defs[f].name, std::to_string(filters()[f].step_count()),
+    table.add_row({defs[f].name, std::to_string(filters()[f].node_count()),
                    std::to_string(plan_hits[f]),
                    pct(100.0 * static_cast<double>(plan_hits[f]) /
                        static_cast<double>(recs.size())),

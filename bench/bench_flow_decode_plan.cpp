@@ -1,5 +1,5 @@
 // Micro-benchmark for the compiled template decode plans (DESIGN.md
-// section 9): the interpreted per-record decode_field() walk over
+// section 9): the interpreted per-record oracle::decode_field() walk over
 // tmpl.fields vs the DecodePlan op loop the decoders now run, on the same
 // wire bytes. Prints the measured speedup (the acceptance bar is >= 3x)
 // and registers benchmark series for both paths plus the full datagram
@@ -13,6 +13,7 @@
 #include "flow/ipfix.hpp"
 #include "flow/template_fields.hpp"
 #include "flow/wire.hpp"
+#include "oracle/decode_oracle.hpp"
 
 namespace lockdown::bench {
 namespace {
@@ -74,7 +75,7 @@ void decode_interpreted(const TemplateRecord& tmpl,
   const std::size_t rec_len = tmpl.record_length();
   while (rd.remaining() >= rec_len) {
     FlowRecord& r = out.emplace_back();
-    for (const flow::FieldSpec& f : tmpl.fields) flow::decode_field(rd, f, r, tc);
+    for (const flow::FieldSpec& f : tmpl.fields) oracle::decode_field(rd, f, r, tc);
   }
 }
 

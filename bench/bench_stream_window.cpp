@@ -34,11 +34,13 @@ using stream::WindowAggregator;
     const auto vp = synth::build_vantage(synth::VantagePointId::kIxpCe,
                                          registry(), {.seed = 42});
     std::vector<FlowRecord> out;
-    run_pipeline(vp,
-                 net::TimeRange{
-                     net::Timestamp::from_date(net::Date(2020, 3, 25), 19),
-                     net::Timestamp::from_date(net::Date(2020, 3, 25), 21)},
-                 600, [&](const FlowRecord& r) { out.push_back(r); });
+    analysis::synthesize_through_wire(
+        vp, registry(),
+        net::TimeRange{net::Timestamp::from_date(net::Date(2020, 3, 25), 19),
+                       net::Timestamp::from_date(net::Date(2020, 3, 25), 21)},
+        synth_config(600), [&](std::span<const FlowRecord> batch) {
+          out.insert(out.end(), batch.begin(), batch.end());
+        });
     return out;
   }();
   return recs;

@@ -6,6 +6,7 @@
 
 #include "analysis/app_filter.hpp"
 #include "bench_common.hpp"
+#include "oracle/classify_oracle.hpp"
 
 namespace lockdown::bench {
 namespace {
@@ -48,10 +49,13 @@ void print_reproduction() {
                                         {.seed = 42});
   const analysis::AsView view(registry().trie());
   std::map<synth::AppClass, std::size_t> hits;
-  run_pipeline(ixp, TimeRange::day_of(Date(2020, 3, 25)), 3000,
-               [&](const flow::FlowRecord& r) {
-                 if (const auto cls = classifier.classify(r, view)) ++hits[*cls];
-               });
+  analysis::synthesize_through_wire(
+      ixp, registry(), TimeRange::day_of(Date(2020, 3, 25)), synth_config(3000),
+      [&](std::span<const flow::FlowRecord> batch) {
+        for (const flow::FlowRecord& r : batch) {
+          if (const auto cls = classifier.classify(r, view)) ++hits[*cls];
+        }
+      });
   std::cout << "Classified flows per class (one lockdown day at IXP-CE):\n";
   util::Table live({"class", "flows"});
   for (const auto& [cls, n] : hits) {
@@ -83,7 +87,7 @@ void BM_Tab1_Classify(benchmark::State& state) {
   for (auto _ : state) {
     std::size_t hits = 0;
     for (const auto& r : records) {
-      const auto cls = reference ? classifier.classify_reference(r, view)
+      const auto cls = reference ? oracle::classify_reference(classifier, r, view)
                                  : classifier.classify(r, view);
       hits += cls.has_value() ? 1 : 0;
     }

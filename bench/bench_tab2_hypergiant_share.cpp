@@ -17,9 +17,10 @@ void print_reproduction() {
   const auto isp = synth::build_vantage(VantagePointId::kIspCe, registry(),
                                         {.seed = 42, .enterprise_transit = false});
   const analysis::AsView view(registry().trie());
-  analysis::HypergiantAnalyzer analyzer(
-      view, analysis::AsnSet(synth::AsRegistry::hypergiant_asns()));
-  run_pipeline(isp, TimeRange::week_of(Date(2020, 2, 19)), 900, analyzer.sink());
+  const analysis::AsnSet hypergiants(synth::AsRegistry::hypergiant_asns());
+  const auto analyzer =
+      scan(isp, {TimeRange::week_of(Date(2020, 2, 19))}, 900,
+           [&] { return analysis::HypergiantAnalyzer(view, hypergiants); });
 
   const auto per_hg = analyzer.per_hypergiant_bytes();
   double hg_total = 0.0;

@@ -38,11 +38,11 @@ void print_reproduction() {
                                          {.seed = 42, .enterprise_transit = false});
     const synth::MobilityModel mobility(pair.region, 42);
 
-    analysis::VolumeAggregator agg(stats::Bucket::kDay);
-    run_pipeline(vp,
-                 TimeRange{Timestamp::from_date(Date(2020, 2, 3)),
-                           Timestamp::from_date(Date(2020, 5, 1))},
-                 180, agg.sink());
+    const auto agg =
+        scan(vp,
+             {TimeRange{Timestamp::from_date(Date(2020, 2, 3)),
+                        Timestamp::from_date(Date(2020, 5, 1))}},
+             180, [] { return analysis::VolumeAggregator(stats::Bucket::kDay); });
 
     std::vector<double> traffic, residential, workplaces, transit;
     for (const auto& [ts, volume] : agg.series().points()) {

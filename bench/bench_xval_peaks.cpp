@@ -28,9 +28,9 @@ void print_reproduction() {
                         VantagePointId::kIxpSe}) {
     const auto vp = synth::build_vantage(id, registry(),
                                          {.seed = 42, .enterprise_transit = false});
-    analysis::VolumeAggregator agg(stats::Bucket::kHour);
-    run_pipeline(vp, base, 350, agg.sink());
-    run_pipeline(vp, lockdown, 350, agg.sink());
+    const auto agg = scan(vp, {base, lockdown}, 350, [] {
+      return analysis::VolumeAggregator(stats::Bucket::kHour);
+    });
 
     const auto shift = analysis::PeakAnalyzer::compare(agg.series(), base, lockdown);
     table.add_row({to_string(id), pct(shift.valley_growth_pct()),
@@ -53,8 +53,9 @@ void print_reproduction() {
 void BM_Xval_PeakProfile(benchmark::State& state) {
   const auto isp = synth::build_vantage(VantagePointId::kIspCe, registry(),
                                         {.seed = 42, .enterprise_transit = false});
-  analysis::VolumeAggregator agg(stats::Bucket::kHour);
-  run_pipeline(isp, TimeRange::week_of(Date(2020, 3, 18)), 350, agg.sink());
+  const auto agg = scan(isp, {TimeRange::week_of(Date(2020, 3, 18))}, 350, [] {
+    return analysis::VolumeAggregator(stats::Bucket::kHour);
+  });
   for (auto _ : state) {
     benchmark::DoNotOptimize(analysis::PeakAnalyzer::profile(
         agg.series(), TimeRange::week_of(Date(2020, 3, 18))));

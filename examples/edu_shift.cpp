@@ -7,9 +7,8 @@
 //   $ ./edu_shift
 #include <iostream>
 
+#include "analysis/scan.hpp"
 #include "analysis/edu.hpp"
-#include "flow/pipeline.hpp"
-#include "synth/synthesizer.hpp"
 #include "synth/vantage.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -31,23 +30,25 @@ int main() {
   const analysis::AsnSet overseas({net::Asn(64730), net::Asn(64720), net::Asn(64721)});
   const analysis::AsnSet unis(edu.local_ases);
 
-  const synth::FlowSynthesizer synth(edu.model, registry,
-                                     {.connections_per_hour = 700});
-  flow::ExportPump pump(edu.protocol, [&](const flow::FlowRecord& r) {
-    analyzer.add(r);
-    // Incoming web requests by client origin (post-lockdown window).
-    if (r.first.date() < net::Date(2020, 3, 14)) return;
-    if (r.dst_port >= r.src_port || !unis.contains(r.dst_as)) return;
-    if (r.dst_port != 443 && r.dst_port != 80) return;
-    auto& hours = overseas.contains(r.src_as) ? overseas_hours : national_hours;
-    hours[r.first.hour_of_day()] += 1.0;
-  });
+  filter::FlowColumns cols;
   std::cout << "Synthesizing the EDU capture window (Feb 28 - May 8, 71 days,\n"
             << "the paper's 72-day capture) through NetFlow v5...\n\n";
-  synth.synthesize(net::TimeRange{net::Timestamp::from_date(net::Date(2020, 2, 28)),
-                                  net::Timestamp::from_date(net::Date(2020, 5, 9))},
-                   pump.as_sink());
-  pump.flush();
+  analysis::synthesize_through_wire(
+      edu, registry,
+      net::TimeRange{net::Timestamp::from_date(net::Date(2020, 2, 28)),
+                     net::Timestamp::from_date(net::Date(2020, 5, 9))},
+      {.connections_per_hour = 700}, [&](std::span<const flow::FlowRecord> batch) {
+        cols.build(batch, &registry.trie());
+        analyzer.add_batch(batch, cols);
+        for (const flow::FlowRecord& r : batch) {
+          // Incoming web requests by client origin (post-lockdown window).
+          if (r.first.date() < net::Date(2020, 3, 14)) continue;
+          if (r.dst_port >= r.src_port || !unis.contains(r.dst_as)) continue;
+          if (r.dst_port != 443 && r.dst_port != 80) continue;
+          auto& hours = overseas.contains(r.src_as) ? overseas_hours : national_hours;
+          hours[r.first.hour_of_day()] += 1.0;
+        }
+      });
 
   // --- In/out ratio timeline (weekly sample) --------------------------------
   std::cout << "Ingress/egress byte ratio (Tuesdays):\n";

@@ -24,31 +24,10 @@
 #include "analysis/vpn.hpp"
 #include "dns/corpus.hpp"
 #include "dns/vpn_finder.hpp"
-#include "flow/pipeline.hpp"
 #include "synth/synthesizer.hpp"
 #include "synth/vantage.hpp"
 
 using namespace lockdown;
-
-namespace {
-
-/// Synthesize `range` through the wire pipeline into a ScanEngine: decoded
-/// datagram batches feed the engine's worker lanes directly.
-template <typename Bundle>
-void run_scan(const synth::VantagePoint& vp, const synth::AsRegistry& reg,
-              net::TimeRange range, double budget,
-              analysis::ScanEngine<Bundle>& engine) {
-  const synth::FlowSynthesizer synth(vp.model, reg, {.connections_per_hour = budget});
-  flow::ExportPump pump(vp.protocol,
-                        flow::ExportPump::BatchSink(
-                            [&engine](std::span<const flow::FlowRecord> batch) {
-                              engine.feed(batch);
-                            }));
-  synth.synthesize(range, pump.as_sink());
-  pump.flush();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::filesystem::path out = "figure-data";
@@ -88,7 +67,8 @@ int main(int argc, char** argv) {
     analysis::ScanEngine<analysis::VolumeAggregator> engine(
         scan_threads, [] { return analysis::VolumeAggregator(stats::Bucket::kDay); },
         &registry.trie());
-    run_scan(vp, registry, full, 150, engine);
+    analysis::synthesize_through_wire(vp, registry, full, {.connections_per_hour = 150},
+                                      engine);
     analysis::VolumeAggregator& agg = engine.finish();
     std::string name = to_string(id);
     for (char& c : name) c = c == '-' ? '_' : static_cast<char>(std::tolower(c));
@@ -103,7 +83,8 @@ int main(int argc, char** argv) {
     analysis::ScanEngine<analysis::VolumeAggregator> engine(
         scan_threads, [] { return analysis::VolumeAggregator(stats::Bucket::kHour); },
         &registry.trie());
-    run_scan(isp, registry, full, 150, engine);
+    analysis::synthesize_through_wire(isp, registry, full, {.connections_per_hour = 150},
+                                      engine);
     emit(analysis::timeseries_table(engine.finish().series(), "bytes"),
          "isp_hourly.csv");
   }
@@ -123,7 +104,10 @@ int main(int argc, char** argv) {
         scan_threads,
         [&] { return analysis::ClassHeatmap(classifier, view, weeks); },
         &registry.trie());
-    for (const auto& w : weeks) run_scan(ixp, registry, w, 400, engine);
+    for (const auto& w : weeks) {
+      analysis::synthesize_through_wire(ixp, registry, w, {.connections_per_hour = 400},
+                                        engine);
+    }
     analysis::ClassHeatmap& heatmap = engine.finish();
     for (const auto cls : heatmap.observed_classes()) {
       std::string name = synth::to_string(cls);
@@ -150,7 +134,10 @@ int main(int argc, char** argv) {
         scan_threads,
         [&] { return analysis::VpnAnalyzer(weeks, funnel.candidate_ips); },
         &registry.trie());
-    for (const auto& w : weeks) run_scan(ixp, registry, w, 500, engine);
+    for (const auto& w : weeks) {
+      analysis::synthesize_through_wire(ixp, registry, w, {.connections_per_hour = 500},
+                                        engine);
+    }
     emit(analysis::vpn_profile_table(engine.finish().profiles()),
          "fig10_vpn_profiles.csv");
   }

@@ -94,9 +94,9 @@
 #include <thread>
 
 #include "analysis/app_filter.hpp"
-#include "analysis/as_view.hpp"
 #include "analysis/volume.hpp"
 #include "filter/monitor.hpp"
+#include "filter/plan.hpp"
 #include "flow/collector_daemon.hpp"
 #include "flow/ipfix.hpp"
 #include "flow/sampler.hpp"
@@ -802,16 +802,22 @@ int main(int argc, char** argv) {
   // --- Analyst side -----------------------------------------------------------
   std::cout << "analyzing spooled slices from " << out_dir << ":\n";
   const analysis::AppClassifier classifier = analysis::AppClassifier::table1();
-  const analysis::AsView as_view(registry.trie());
   analysis::VolumeAggregator volume(stats::Bucket::kHour);
+  filter::FlowColumns cols;
+  analysis::ClassifyCache classify_cache;
+  std::vector<std::optional<analysis::AppClass>> classes;
   std::size_t classified = 0, records_seen = 0;
   for (const auto& path : slice_paths) {
     const auto trace = flow::read_trace_file(path.string());
     if (!trace) continue;
-    for (const auto& r : trace->records) volume.add(r);
-    records_seen += trace->records.size();
-    for (const auto& cls :
-         classifier.classify_batch(trace->records, as_view)) {
+    const std::size_t n = trace->records.size();
+    cols.build(trace->records, &registry.trie());
+    volume.add_batch(trace->records, cols);
+    records_seen += n;
+    classes.resize(n);
+    classifier.classify_columns(n, cols.service.data(), cols.src_as.data(),
+                                cols.dst_as.data(), classes, classify_cache);
+    for (const auto& cls : classes) {
       if (cls) ++classified;
     }
   }

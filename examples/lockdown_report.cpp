@@ -16,41 +16,12 @@
 #include "analysis/pattern.hpp"
 #include "analysis/scan.hpp"
 #include "analysis/volume.hpp"
-#include "flow/pipeline.hpp"
 #include "synth/synthesizer.hpp"
 #include "synth/vantage.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
 using namespace lockdown;
-
-namespace {
-
-void run(const synth::VantagePoint& vp, const synth::AsRegistry& reg,
-         net::TimeRange range, double budget,
-         const std::function<void(const flow::FlowRecord&)>& sink) {
-  const synth::FlowSynthesizer synth(vp.model, reg, {.connections_per_hour = budget});
-  flow::ExportPump pump(vp.protocol, sink);
-  synth.synthesize(range, pump.as_sink());
-  pump.flush();
-}
-
-/// Like run(), but decoded datagram batches feed a ScanEngine's lanes.
-template <typename Bundle>
-void run_scan(const synth::VantagePoint& vp, const synth::AsRegistry& reg,
-              net::TimeRange range, double budget,
-              analysis::ScanEngine<Bundle>& engine) {
-  const synth::FlowSynthesizer synth(vp.model, reg, {.connections_per_hour = budget});
-  flow::ExportPump pump(vp.protocol,
-                        flow::ExportPump::BatchSink(
-                            [&engine](std::span<const flow::FlowRecord> batch) {
-                              engine.feed(batch);
-                            }));
-  synth.synthesize(range, pump.as_sink());
-  pump.flush();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::uint64_t seed = 42;
@@ -79,11 +50,17 @@ int main(int argc, char** argv) {
         synth::VantagePointId::kEdu, synth::VantagePointId::kMobileCe,
         synth::VantagePointId::kIpxCe}) {
     const auto vp = synth::build_vantage(id, registry, cfg);
-    double base = 0, lockdown = 0;
-    run(vp, registry, net::TimeRange::week_of(net::Date(2020, 2, 19)), 250,
-        [&](const flow::FlowRecord& r) { base += static_cast<double>(r.bytes); });
-    run(vp, registry, net::TimeRange::week_of(net::Date(2020, 3, 18)), 250,
-        [&](const flow::FlowRecord& r) { lockdown += static_cast<double>(r.bytes); });
+    const auto week_bytes = [&](net::Date start) {
+      double bytes = 0;
+      analysis::synthesize_through_wire(
+          vp, registry, net::TimeRange::week_of(start), {.connections_per_hour = 250},
+          [&](std::span<const flow::FlowRecord> batch) {
+            for (const flow::FlowRecord& r : batch) bytes += static_cast<double>(r.bytes);
+          });
+      return bytes;
+    };
+    const double base = week_bytes(net::Date(2020, 2, 19));
+    const double lockdown = week_bytes(net::Date(2020, 3, 18));
     volumes.add_row({to_string(id), to_string(vp.protocol),
                      util::format_bytes(base), util::format_bytes(lockdown),
                      (lockdown >= base ? "+" : "") +
@@ -97,10 +74,11 @@ int main(int argc, char** argv) {
   analysis::ScanEngine<analysis::VolumeAggregator> hourly_engine(
       scan_threads, [] { return analysis::VolumeAggregator(stats::Bucket::kHour); },
       &registry.trie());
-  run_scan(isp, registry,
-           net::TimeRange{net::Timestamp::from_date(net::Date(2020, 2, 1)),
-                          net::Timestamp::from_date(net::Date(2020, 4, 30))},
-           250, hourly_engine);
+  analysis::synthesize_through_wire(
+      isp, registry,
+      net::TimeRange{net::Timestamp::from_date(net::Date(2020, 2, 1)),
+                     net::Timestamp::from_date(net::Date(2020, 4, 30))},
+      {.connections_per_hour = 250}, hourly_engine);
   analysis::VolumeAggregator& hourly = hourly_engine.finish();
   analysis::PatternClassifier classifier(6);
   classifier.train(hourly.series(),
@@ -130,7 +108,10 @@ int main(int argc, char** argv) {
       scan_threads,
       [&] { return analysis::ClassHeatmap(app_classifier, view, weeks); },
       &registry.trie());
-  for (const auto& w : weeks) run_scan(ixp, registry, w, 400, heatmap_engine);
+  for (const auto& w : weeks) {
+    analysis::synthesize_through_wire(ixp, registry, w, {.connections_per_hour = 400},
+                                      heatmap_engine);
+  }
   analysis::ClassHeatmap& heatmap = heatmap_engine.finish();
 
   util::Table apps({"class", "working-hours growth", "action"});

@@ -8,11 +8,10 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "analysis/scan.hpp"
 #include "analysis/vpn.hpp"
 #include "dns/corpus.hpp"
 #include "dns/vpn_finder.hpp"
-#include "flow/pipeline.hpp"
-#include "synth/synthesizer.hpp"
 #include "synth/vantage.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -73,12 +72,13 @@ int main(int argc, char** argv) {
   const std::vector<net::TimeRange> weeks = {
       net::TimeRange::week_of(net::Date(2020, 2, 20)),
       net::TimeRange::week_of(net::Date(2020, 3, 19))};
-  analysis::VpnAnalyzer analyzer(weeks, result.candidate_ips);
-  const synth::FlowSynthesizer synth(ixp.model, registry,
-                                     {.connections_per_hour = 600});
-  flow::ExportPump pump(ixp.protocol, analyzer.sink());
-  for (const auto& w : weeks) synth.synthesize(w, pump.as_sink());
-  pump.flush();
+  analysis::ScanEngine<analysis::VpnAnalyzer> engine(
+      1, [&] { return analysis::VpnAnalyzer(weeks, result.candidate_ips); });
+  for (const auto& w : weeks) {
+    analysis::synthesize_through_wire(ixp, registry, w,
+                                      {.connections_per_hour = 600}, engine);
+  }
+  const analysis::VpnAnalyzer& analyzer = engine.finish();
 
   std::cout << "  port-based VPN growth (working hours): "
             << util::format_fixed(

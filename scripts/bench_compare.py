@@ -12,6 +12,12 @@ binary's run. Machine speed cancels out of the ratio; what remains is how
 much faster the compiled path is than the code it replaced -- exactly the
 quantity a perf regression erodes.
 
+Each BENCH json carries a `host` stamp (nproc, cpu_model, kernel,
+compiler, build_type, git_sha). The script prints the current and baseline
+host of every file and warns when they differ or a baseline has no stamp:
+ratios cancel machine speed only to first order, so a cross-host
+comparison is weaker evidence than a same-host one.
+
 A pair FAILS when its current speedup falls below baseline/ (1 + slack),
 i.e. more than --slack (default 25%) of the baselined advantage is gone.
 Pairs may also carry an absolute floor (the DESIGN.md acceptance bars);
@@ -142,6 +148,45 @@ def load_ns_per_op(path: Path) -> dict[str, float]:
     return out
 
 
+HOST_FIELDS = ("nproc", "cpu_model", "kernel", "compiler", "build_type",
+               "git_sha")
+
+
+def load_host(path: Path) -> dict | None:
+    """The file's host stamp, or None when it has none."""
+    with path.open() as f:
+        host = json.load(f).get("host")
+    return host if isinstance(host, dict) else None
+
+
+def describe_host(host: dict | None) -> str:
+    if host is None:
+        return "no host stamp"
+    return ", ".join(f"{k}={host.get(k, '?')}" for k in HOST_FIELDS)
+
+
+def report_hosts(current: Path, baseline: Path) -> None:
+    """Print both hosts of one bench file; warn when they cannot be
+    compared like for like. The git sha is expected to differ."""
+    cur = load_host(current)
+    print(f"{current.name}:")
+    print(f"  current host:  {describe_host(cur)}")
+    if not baseline.exists():
+        print("  baseline host: - (no baseline file)")
+        return
+    base = load_host(baseline)
+    print(f"  baseline host: {describe_host(base)}")
+    if base is None:
+        print("  warning: baseline has no host stamp; the comparison may be "
+              "cross-host")
+    elif cur is not None:
+        differ = [k for k in HOST_FIELDS
+                  if k != "git_sha" and cur.get(k) != base.get(k)]
+        if differ:
+            print(f"  warning: hosts differ in {', '.join(differ)}; the "
+                  "comparison is cross-host")
+
+
 def speedup(series: dict[str, float], ref: str, fast: str) -> float | None:
     if ref not in series or fast not in series:
         return None
@@ -159,6 +204,11 @@ def main() -> int:
     ap.add_argument("--slack", type=float, default=0.25,
                     help="tolerated fractional loss of baselined speedup")
     args = ap.parse_args()
+
+    for fname in dict.fromkeys(fname for fname, *_ in PAIRS):
+        if (args.current / fname).exists():
+            report_hosts(args.current / fname, args.baseline / fname)
+    print()
 
     failures = 0
     checked = 0

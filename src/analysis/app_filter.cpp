@@ -155,31 +155,6 @@ std::optional<AppClass> AppClassifier::classify(const flow::FlowRecord& r,
   return filters_[index].target;
 }
 
-void AppClassifier::classify_batch(std::span<const flow::FlowRecord> records,
-                                   const AsView& view,
-                                   std::span<std::optional<AppClass>> out) const {
-  TRACE_SPAN_ARG("classify", "classify.batch", records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    out[i] = classify(records[i], view);
-  }
-}
-
-void AppClassifier::classify_columns(std::size_t n, const std::uint32_t* service,
-                                     const std::uint32_t* src_as,
-                                     const std::uint32_t* dst_as,
-                                     std::span<std::optional<AppClass>> out) const {
-  TRACE_SPAN_ARG("classify", "classify.columns", n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t s = service[i];
-    const PortKey port{static_cast<IpProtocol>(s >> 16),
-                       static_cast<std::uint16_t>(s & 0xffff)};
-    const std::uint16_t index =
-        match_index(Asn(src_as[i]), Asn(dst_as[i]), port);
-    out[i] = index == kNoFilter ? std::nullopt
-                                : std::optional(filters_[index].target);
-  }
-}
-
 void AppClassifier::classify_columns(std::size_t n, const std::uint32_t* service,
                                      const std::uint32_t* src_as,
                                      const std::uint32_t* dst_as,
@@ -206,29 +181,6 @@ void AppClassifier::classify_columns(std::size_t n, const std::uint32_t* service
     out[i] = index == kNoFilter ? std::nullopt
                                 : std::optional(filters_[index].target);
   }
-}
-
-std::optional<AppClass> AppClassifier::classify_reference(
-    const flow::FlowRecord& r, const AsView& view) const {
-  const net::Asn src = view.src_as(r);
-  const net::Asn dst = view.dst_as(r);
-  const PortKey port = r.service_port();
-
-  for (const AppFilter& f : filters_) {
-    if (!f.asns.empty()) {
-      const bool as_match =
-          std::find(f.asns.begin(), f.asns.end(), src) != f.asns.end() ||
-          std::find(f.asns.begin(), f.asns.end(), dst) != f.asns.end();
-      if (!as_match) continue;
-    }
-    if (!f.ports.empty()) {
-      if (std::find(f.ports.begin(), f.ports.end(), port) == f.ports.end()) {
-        continue;
-      }
-    }
-    return f.target;
-  }
-  return std::nullopt;
 }
 
 AppClassifier AppClassifier::table1() {
@@ -344,9 +296,10 @@ std::vector<AppClassifier::ClassStats> AppClassifier::table_stats() const {
 // ClassHeatmap
 // ---------------------------------------------------------------------------
 
-ClassHeatmap::ClassHeatmap(const AppClassifier& classifier, const AsView& view,
+ClassHeatmap::ClassHeatmap(const AppClassifier& classifier,
+                           const AsView& /*view*/,
                            std::vector<net::TimeRange> weeks)
-    : classifier_(classifier), view_(view), weeks_(std::move(weeks)) {
+    : classifier_(classifier), weeks_(std::move(weeks)) {
   if (weeks_.size() < 2) {
     throw std::invalid_argument("ClassHeatmap: need a base week plus stages");
   }
@@ -362,31 +315,6 @@ ClassHeatmap::ClassHeatmap(const AppClassifier& classifier, const AsView& view,
         weeks_[0].begin.plus(static_cast<std::int64_t>(day) * net::kSecondsPerDay)
             .date()
             .weekday());
-  }
-}
-
-void ClassHeatmap::deposit(const flow::FlowRecord& r, AppClass cls) {
-  const std::size_t week = week_of(r.first);
-  if (week == weeks_.size()) return;
-  const auto slot = static_cast<std::size_t>(
-      (r.first.seconds() - weeks_[week].begin.seconds()) / net::kSecondsPerHour);
-  auto& per_week = volume_[cls];
-  if (per_week.empty()) per_week.assign(weeks_.size(), {});
-  per_week[week][slot] += util::counter_to_double(r.bytes);
-}
-
-void ClassHeatmap::add(const flow::FlowRecord& r) {
-  if (week_of(r.first) == weeks_.size()) return;
-  const auto cls = classifier_.classify(r, view_);
-  if (!cls) return;
-  deposit(r, *cls);
-}
-
-void ClassHeatmap::add_batch(std::span<const flow::FlowRecord> batch) {
-  batch_scratch_.resize(batch.size());
-  classifier_.classify_batch(batch, view_, batch_scratch_);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch_scratch_[i]) deposit(batch[i], *batch_scratch_[i]);
   }
 }
 

@@ -11,14 +11,13 @@
 // classify() runs on a compiled form of the registry (DESIGN.md §9): a
 // per-protocol port -> first-matching-filter table, a sorted ASN -> filter
 // vector and a small combined (AS + port) index, all carrying the *lowest*
-// matching filter index so first-match priority is preserved exactly. The
-// interpreted scan is retained as classify_reference() and pinned against
-// the compiled path by a differential fuzz test.
+// matching filter index so first-match priority is preserved exactly. A
+// differential fuzz test pins it against the interpreted registry scan
+// (tests/oracle/classify_oracle.hpp).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <span>
@@ -83,48 +82,19 @@ class AppClassifier {
   /// The paper's filter registry (Table 1's nine classes).
   [[nodiscard]] static AppClassifier table1();
 
-  /// First matching filter's class; nullopt if nothing matches. Flat-table
-  /// lookup -- O(1) on the port axis plus two binary searches on the AS
-  /// axis -- with exactly the first-match semantics of
-  /// classify_reference().
+  /// First matching filter's class in registry order; nullopt if nothing
+  /// matches. Flat-table lookup: O(1) on the port axis plus two binary
+  /// searches on the AS axis.
   [[nodiscard]] std::optional<AppClass> classify(const flow::FlowRecord& r,
                                                  const AsView& view) const;
-
-  /// The original interpreted scan over the filter registry, retained as
-  /// the semantic reference for differential tests and the flat-vs-
-  /// reference bench series. Same results as classify(), filters x scan
-  /// cost.
-  [[nodiscard]] std::optional<AppClass> classify_reference(
-      const flow::FlowRecord& r, const AsView& view) const;
-
-  /// Batch classification for the BatchSink collector path: one call per
-  /// decoded datagram, no per-record std::function hop. Writes
-  /// `records.size()` results into `out` (which must be at least that
-  /// large).
-  void classify_batch(std::span<const flow::FlowRecord> records,
-                      const AsView& view,
-                      std::span<std::optional<AppClass>> out) const;
-
-  [[nodiscard]] std::vector<std::optional<AppClass>> classify_batch(
-      std::span<const flow::FlowRecord> records, const AsView& view) const {
-    std::vector<std::optional<AppClass>> out(records.size());
-    classify_batch(records, view, out);
-    return out;
-  }
 
   /// Columnar batch classification over pre-resolved per-batch columns
   /// (filter::FlowColumns layout): `service` is the (proto << 16 | port)
   /// key column, `src_as`/`dst_as` the resolved endpoint AS columns, each
-  /// `n` elements. Skips the per-record service_port()/trie work entirely;
-  /// same results as classify() over the same records.
-  void classify_columns(std::size_t n, const std::uint32_t* service,
-                        const std::uint32_t* src_as,
-                        const std::uint32_t* dst_as,
-                        std::span<std::optional<AppClass>> out) const;
-
-  /// classify_columns with a caller-owned memo cache: identical results,
-  /// but repeated (service, src AS, dst AS) triples hit the cache instead
-  /// of re-running the compiled lookup.
+  /// `n` elements. Same results as classify() over the same records, but
+  /// skips the per-record service_port()/trie work, and repeated
+  /// (service, src AS, dst AS) triples hit the caller-owned memo `cache`
+  /// instead of re-running the compiled lookup.
   void classify_columns(std::size_t n, const std::uint32_t* service,
                         const std::uint32_t* src_as,
                         const std::uint32_t* dst_as,
@@ -180,36 +150,20 @@ class AppClassifier {
 /// aligned on their first day (the paper's panels run Thu..Wed).
 class ClassHeatmap {
  public:
-  /// `weeks[0]` is the base week; all weeks must be 7 days.
+  /// `weeks[0]` is the base week; all weeks must be 7 days. Records are
+  /// attributed to endpoint ASes through the batch's FlowColumns, which
+  /// must be built against `view`'s routing snapshot.
   ClassHeatmap(const AppClassifier& classifier, const AsView& view,
                std::vector<net::TimeRange> weeks);
 
-  void add(const flow::FlowRecord& r);
-
-  /// Batch ingestion for the BatchSink collector path: classifies the span
-  /// through AppClassifier::classify_batch, then deposits. Same final
-  /// aggregate as per-record add().
-  void add_batch(std::span<const flow::FlowRecord> batch);
-
-  /// Columnar batch ingestion for the scan engine: classification reads the
-  /// batch's pre-resolved service/AS columns instead of re-running the trie
-  /// per record. Same final aggregate as per-record add().
+  /// Classification reads the batch's pre-resolved service/AS columns
+  /// (built over exactly `batch`), then deposits per (class, week, hour).
   void add_batch(std::span<const flow::FlowRecord> batch,
                  const filter::FlowColumns& cols);
 
   /// Fold a sibling heatmap (same classifier/weeks) into this one; hourly
   /// bins are exact-integer byte sums, so the merge is order-independent.
   void merge(const ClassHeatmap& other);
-
-  [[nodiscard]] std::function<void(const flow::FlowRecord&)> sink() {
-    return [this](const flow::FlowRecord& r) { add(r); };
-  }
-
-  /// Span-shaped sink matching flow::Collector::BatchSink.
-  [[nodiscard]] std::function<void(std::span<const flow::FlowRecord>)>
-  batch_sink() {
-    return [this](std::span<const flow::FlowRecord> batch) { add_batch(batch); };
-  }
 
   [[nodiscard]] std::vector<AppClass> observed_classes() const;
 
@@ -244,19 +198,16 @@ class ClassHeatmap {
     return week_index_.lookup(t);
   }
 
-  void deposit(const flow::FlowRecord& r, AppClass cls);
-
   const AppClassifier& classifier_;
-  const AsView& view_;
   std::vector<net::TimeRange> weeks_;
   WeekIndex week_index_;
   /// Weekend flags of the base week's 7 days, so working_hours_growth does
   /// not rebuild a net::Date per hour slot.
   std::array<bool, 7> base_day_weekend_{};
   /// Scratch for add_batch (ClassHeatmap is single-threaded, like every
-  /// analysis aggregator; the sharded runtime merges before analysis).
+  /// analysis aggregator; the scan engine gives each lane its own).
   std::vector<std::optional<AppClass>> batch_scratch_;
-  /// Memo for the columnar add_batch's classification.
+  /// Memo for add_batch's classification.
   ClassifyCache classify_cache_;
   // volume[class][week][hour-slot 0..167]
   std::map<AppClass, std::vector<std::array<double, 168>>> volume_;

@@ -7,18 +7,6 @@
 
 namespace lockdown::analysis {
 
-void ClassActivityTracker::add(const flow::FlowRecord& r) {
-  const auto cls = classifier_.classify(r, view_);
-  if (!cls || *cls != cls_) return;
-
-  const std::int64_t hour = r.first.floor_hour().seconds();
-  HourAcc& acc = hours_[hour];
-  acc.bytes += util::counter_to_double(r.bytes);
-  const net::IpAddressHash hash;
-  acc.ips.insert(hash(r.src_addr));
-  acc.ips.insert(hash(r.dst_addr));
-}
-
 void ClassActivityTracker::add_batch(std::span<const flow::FlowRecord> records,
                                      const filter::FlowColumns& cols) {
   batch_scratch_.resize(records.size());

@@ -23,14 +23,14 @@ namespace lockdown::analysis {
 
 class ClassActivityTracker {
  public:
-  ClassActivityTracker(const AppClassifier& classifier, const AsView& view,
+  /// Classification reads the batch's FlowColumns, which must be built
+  /// against `view`'s routing snapshot.
+  ClassActivityTracker(const AppClassifier& classifier, const AsView& /*view*/,
                        AppClass cls)
-      : classifier_(classifier), view_(view), cls_(cls) {}
+      : classifier_(classifier), cls_(cls) {}
 
-  void add(const flow::FlowRecord& r);
-
-  /// Columnar batch path: classification reads the batch's pre-resolved
-  /// service/AS columns. Same final state as per-record add().
+  /// Classification reads the batch's pre-resolved service/AS columns
+  /// (`cols`, built over exactly `records`).
   void add_batch(std::span<const flow::FlowRecord> records,
                  const filter::FlowColumns& cols);
 
@@ -38,10 +38,6 @@ class ClassActivityTracker {
   /// bins are exact-integer sums and IP sets union, so the result is
   /// independent of how records were partitioned.
   void merge(const ClassActivityTracker& other);
-
-  [[nodiscard]] std::function<void(const flow::FlowRecord&)> sink() {
-    return [this](const flow::FlowRecord& r) { add(r); };
-  }
 
   struct HourPoint {
     net::Timestamp hour;
@@ -70,11 +66,10 @@ class ClassActivityTracker {
       const std::function<double(const HourAcc&)>& metric) const;
 
   const AppClassifier& classifier_;
-  const AsView& view_;
   AppClass cls_;
   std::map<std::int64_t, HourAcc> hours_;
   std::vector<std::optional<AppClass>> batch_scratch_;
-  /// Memo for the columnar add_batch's classification.
+  /// Memo for add_batch's classification.
   ClassifyCache classify_cache_;
 };
 

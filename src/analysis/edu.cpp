@@ -83,59 +83,6 @@ std::optional<EduClass> EduAnalyzer::classify_cols(
   }
 }
 
-Direction EduAnalyzer::direction_of(const flow::FlowRecord& r,
-                                    bool classified) const noexcept {
-  // A connection is oriented by its service side; without a recognizable
-  // service the paper could not orient 39% of flows.
-  if (!classified) return Direction::kUndetermined;
-  const bool dst_inside = universities_.contains(view_.dst_as(r));
-  const bool src_inside = universities_.contains(view_.src_as(r));
-  if (dst_inside && !src_inside) return Direction::kIncoming;
-  if (src_inside && !dst_inside) return Direction::kOutgoing;
-  return Direction::kUndetermined;
-}
-
-void EduAnalyzer::add(const flow::FlowRecord& r) {
-  const bool dst_inside = universities_.contains(view_.dst_as(r));
-  const bool src_inside = universities_.contains(view_.src_as(r));
-  const double bytes = util::counter_to_double(r.bytes);
-
-  // Byte-level directionality (Fig 11): every flow crossing the border is
-  // either entering or leaving.
-  if (dst_inside && !src_inside) {
-    volume_in_.add(r.first, bytes);
-  } else if (src_inside && !dst_inside) {
-    volume_out_.add(r.first, bytes);
-  }
-
-  // Connection counting: request-direction flows only. Clients use
-  // ephemeral ports (> service port); portless protocols count as requests
-  // towards the ESP/GRE terminator.
-  const bool portless =
-      r.protocol == IpProtocol::kGre || r.protocol == IpProtocol::kEsp;
-  const bool is_request = portless || r.dst_port < r.src_port;
-  if (!is_request) return;
-
-  const auto cls = classify_port(r);
-  const Direction dir = direction_of(r, cls.has_value());
-  const std::int64_t day = r.first.floor_day().seconds();
-
-  connections_total_[day] += 1.0;
-  connections_by_dir_[dir][day] += 1.0;
-  if (dir == Direction::kUndetermined) {
-    undetermined_ += 1.0;
-  } else {
-    determined_ += 1.0;
-  }
-  if (cls) {
-    connections_[{*cls, dir}][day] += 1.0;
-    // Hypergiant web also counts as plain web (it *is* web traffic).
-    if (*cls == EduClass::kHypergiantWeb) {
-      connections_[{EduClass::kWeb, dir}][day] += 1.0;
-    }
-  }
-}
-
 void EduAnalyzer::add_batch(std::span<const flow::FlowRecord> records,
                             const filter::FlowColumns& cols) {
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -146,17 +93,24 @@ void EduAnalyzer::add_batch(std::span<const flow::FlowRecord> records,
     const bool src_inside = universities_.contains(src);
     const double bytes = util::counter_to_double(r.bytes);
 
+    // Byte-level directionality (Fig 11): every flow crossing the border
+    // is either entering or leaving.
     if (dst_inside && !src_inside) {
       volume_in_.add(r.first, bytes);
     } else if (src_inside && !dst_inside) {
       volume_out_.add(r.first, bytes);
     }
 
+    // Connection counting: request-direction flows only. Clients use
+    // ephemeral ports (> service port); portless protocols count as
+    // requests towards the ESP/GRE terminator.
     const bool portless =
         r.protocol == IpProtocol::kGre || r.protocol == IpProtocol::kEsp;
     const bool is_request = portless || r.dst_port < r.src_port;
     if (!is_request) continue;
 
+    // A connection is oriented by its service side; without a recognizable
+    // service the paper could not orient 39% of flows.
     const auto cls = classify_cols(cols.service[i], src, dst);
     Direction dir = Direction::kUndetermined;
     if (cls.has_value()) {
@@ -177,6 +131,7 @@ void EduAnalyzer::add_batch(std::span<const flow::FlowRecord> records,
     }
     if (cls) {
       connections_[{*cls, dir}][day] += 1.0;
+      // Hypergiant web also counts as plain web (it *is* web traffic).
       if (*cls == EduClass::kHypergiantWeb) {
         connections_[{EduClass::kWeb, dir}][day] += 1.0;
       }

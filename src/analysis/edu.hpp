@@ -16,7 +16,6 @@
 // and cannot be oriented is undetermined (39% of flows in the paper).
 #pragma once
 
-#include <functional>
 #include <map>
 #include <optional>
 #include <span>
@@ -87,22 +86,15 @@ class EduAnalyzer {
   [[nodiscard]] std::optional<EduClass> classify_port(
       const flow::FlowRecord& r) const noexcept;
 
-  void add(const flow::FlowRecord& r);
-
-  /// Columnar batch path. The per-record add() resolves endpoint ASes up
-  /// to six times per record (direction twice, Spotify AS, hypergiant-web
-  /// checks); here every AS consultation reads the batch's pre-resolved
-  /// columns. Same final state as per-record add().
+  /// Every AS consultation (direction, Spotify AS, hypergiant-web checks)
+  /// reads the batch's pre-resolved columns (`cols`, built over exactly
+  /// `records` against `view`'s routing snapshot).
   void add_batch(std::span<const flow::FlowRecord> records,
                  const filter::FlowColumns& cols);
 
   /// Fold a sibling analyzer (same university/hypergiant lists) into this
   /// one; counts and exact-integer byte bins merge order-independently.
   void merge(const EduAnalyzer& other);
-
-  [[nodiscard]] std::function<void(const flow::FlowRecord&)> sink() {
-    return [this](const flow::FlowRecord& r) { add(r); };
-  }
 
   // --- Fig 11a: volume ----------------------------------------------------
   [[nodiscard]] const stats::TimeSeries& ingress_volume() const noexcept {
@@ -148,8 +140,6 @@ class EduAnalyzer {
   [[nodiscard]] double undetermined_fraction() const noexcept;
 
  private:
-  [[nodiscard]] Direction direction_of(const flow::FlowRecord& r,
-                                       bool classified) const noexcept;
   /// classify_port over pre-resolved columns: `service` is the FlowColumns
   /// (proto << 16 | port) key, `src`/`dst` the resolved endpoint ASes.
   [[nodiscard]] std::optional<EduClass> classify_cols(

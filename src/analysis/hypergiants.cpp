@@ -23,47 +23,14 @@ void HypergiantAnalyzer::build_fast_lookup() {
   }
 }
 
-void HypergiantAnalyzer::add(const flow::FlowRecord& r) {
-  // Attribute to the serving side: whichever endpoint is a hypergiant; for
-  // hypergiant-to-hypergiant (rare) the source wins; otherwise the source.
-  const net::Asn src = view_.src_as(r);
-  const net::Asn dst = view_.dst_as(r);
-  net::Asn server = src;
-  if (hypergiants_.contains(src)) {
-    server = src;
-  } else if (hypergiants_.contains(dst)) {
-    server = dst;
-  }
-  const bool is_hg = hypergiants_.contains(server);
-
-  const double bytes = util::counter_to_double(r.bytes);
-  total_bytes_ += bytes;
-  if (is_hg) {
-    hg_bytes_ += bytes;
-    per_hg_bytes_[server] += bytes;
-  }
-
-  const unsigned hour = r.first.hour_of_day();
-  // Fig 4 slices cover 09:00-24:00 only; night hours are not plotted.
-  if (hour < 9) return;
-
-  const bool weekend = net::is_weekend(r.first.weekday());
-  const bool evening = hour >= 17;
-  const DaySlice slice =
-      weekend ? (evening ? DaySlice::kWeekendEvening : DaySlice::kWeekendWork)
-              : (evening ? DaySlice::kWorkdayEvening : DaySlice::kWorkdayWork);
-  const Key key{r.first.date().paper_week(), slice};
-  bytes_[key][is_hg ? 0 : 1] += bytes;
-}
-
 void HypergiantAnalyzer::add_batch(std::span<const flow::FlowRecord> records,
                                    const filter::FlowColumns& cols) {
   // Streams are time-sorted, so the Fig 4 (paper week, slice) key is
   // constant over long runs: one run spans a day's night (<9h), work
   // (9-17h) or evening (17-24h) block. Slice sums are flushed once per run
   // and per-hypergiant sums once per batch; all values are exact integers
-  // (counter_to_double), so the grouped flush is bit-identical to
-  // per-record add().
+  // (counter_to_double), so the grouped flush is bit-identical to a
+  // record-at-a-time fold.
   server_accum_.clear();
   const std::size_t n = records.size();
   std::size_t i = 0;

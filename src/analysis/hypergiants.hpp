@@ -7,7 +7,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <map>
 #include <span>
 #include <vector>
@@ -43,29 +42,24 @@ enum class DaySlice : std::uint8_t {
 
 class HypergiantAnalyzer {
  public:
-  HypergiantAnalyzer(const AsView& view, AsnSet hypergiants)
-      : view_(view), hypergiants_(std::move(hypergiants)) {
+  /// Endpoint ASes are read from the batch's FlowColumns, which must be
+  /// built against `view`'s routing snapshot.
+  HypergiantAnalyzer(const AsView& /*view*/, AsnSet hypergiants)
+      : hypergiants_(std::move(hypergiants)) {
     build_fast_lookup();
   }
 
-  /// Feed a flow: attributes its bytes to the serving AS group (the
-  /// non-eyeball endpoint; for flows between two non-hypergiants the
-  /// source side is used -- deliveries are server-sourced in NetFlow).
-  void add(const flow::FlowRecord& r);
-
-  /// Columnar batch path: endpoint ASes come pre-resolved from `cols`
-  /// (built once per batch for all consumers) instead of two trie lookups
-  /// per record. Same final state as per-record add().
+  /// Attributes each flow's bytes to the serving AS group (the hypergiant
+  /// endpoint if any, source first; otherwise the source side --
+  /// deliveries are server-sourced in NetFlow). Endpoint ASes come
+  /// pre-resolved from `cols` (built once per batch, over exactly
+  /// `records`, for all consumers).
   void add_batch(std::span<const flow::FlowRecord> records,
                  const filter::FlowColumns& cols);
 
   /// Fold a sibling analyzer (same hypergiant list) into this one;
   /// exact-integer bins make the merge order-independent.
   void merge(const HypergiantAnalyzer& other);
-
-  [[nodiscard]] std::function<void(const flow::FlowRecord&)> sink() {
-    return [this](const flow::FlowRecord& r) { add(r); };
-  }
 
   /// Fig 4 series: per paper week, per slice, traffic normalized by
   /// `baseline_week`. Missing slices yield no entry.
@@ -113,7 +107,6 @@ class HypergiantAnalyzer {
     }
   }
 
-  const AsView& view_;
   AsnSet hypergiants_;
   DayFlagsCache day_cache_;
   /// Scratch for add_batch's per-batch per-hypergiant sums.

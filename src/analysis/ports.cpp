@@ -15,38 +15,13 @@ PortAnalyzer::PortAnalyzer(std::vector<net::TimeRange> weeks,
     : weeks_(std::move(weeks)), holidays_as_weekend_(holidays_as_weekend),
       week_index_(weeks_) {}
 
-void PortAnalyzer::add(const flow::FlowRecord& r) {
-  std::size_t week_index = weeks_.size();
-  for (std::size_t i = 0; i < weeks_.size(); ++i) {
-    if (weeks_[i].contains(r.first)) {
-      week_index = i;
-      break;
-    }
-  }
-  if (week_index == weeks_.size()) return;
-
-  const net::Date date = r.first.date();
-  const bool weekend =
-      date.is_weekend_day() ||
-      (holidays_as_weekend_ && synth::is_holiday_2020(date));
-  const PortKey port = r.service_port();
-  const double bytes = util::counter_to_double(r.bytes);
-
-  bytes_[{week_index, port, weekend, r.first.hour_of_day()}] += bytes;
-  totals_[port] += bytes;
-  all_bytes_ += bytes;
-  if (port.proto == flow::IpProtocol::kTcp && (port.port == 80 || port.port == 443)) {
-    web_bytes_ += bytes;
-  }
-}
-
 void PortAnalyzer::add_batch(std::span<const flow::FlowRecord> records,
                              const filter::FlowColumns& cols) {
   // Streams are time-sorted, so (week, weekend, hour) is constant over long
   // runs. Per-service byte sums are gathered per run in a small scratch
   // table and flushed into the ordered maps once per (run, service) instead
   // of twice per record. All sums are exact integers (counter_to_double),
-  // so the grouped flush is bit-identical to per-record add().
+  // so the grouped flush is bit-identical to a record-at-a-time fold.
   const std::size_t n = records.size();
   std::size_t i = 0;
   while (i < n) {

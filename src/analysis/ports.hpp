@@ -4,7 +4,6 @@
 // readability) normalized across all weeks.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <span>
 #include <vector>
@@ -28,21 +27,15 @@ class PortAnalyzer {
   explicit PortAnalyzer(std::vector<net::TimeRange> weeks,
                         bool holidays_as_weekend = true);
 
-  void add(const flow::FlowRecord& r);
-
-  /// Columnar batch path: service keys come from `cols` (built once per
-  /// batch for all consumers) and the calendar facts from the cached
-  /// per-day/week lookups. Same final state as per-record add().
+  /// Service keys come from `cols` (built once per batch for all
+  /// consumers, over exactly `records`) and the calendar facts from the
+  /// cached per-day/week lookups.
   void add_batch(std::span<const flow::FlowRecord> records,
                  const filter::FlowColumns& cols);
 
   /// Fold a sibling analyzer (same weeks + holiday configuration) into
   /// this one; exact-integer bins make the merge order-independent.
   void merge(const PortAnalyzer& other);
-
-  [[nodiscard]] std::function<void(const flow::FlowRecord&)> sink() {
-    return [this](const flow::FlowRecord& r) { add(r); };
-  }
 
   /// Ports ranked by total volume over all weeks. `skip_web` drops TCP/80
   /// and TCP/443 (the paper omits them); `top_n` bounds the result.

@@ -6,37 +6,6 @@
 
 namespace lockdown::analysis {
 
-void RemoteWorkAnalyzer::add(const flow::FlowRecord& r) {
-  const bool in_feb = feb_.contains(r.first);
-  const bool in_mar = mar_.contains(r.first);
-  if (!in_feb && !in_mar) return;
-
-  const net::Asn src = view_.src_as(r);
-  const net::Asn dst = view_.dst_as(r);
-  const double bytes = util::counter_to_double(r.bytes);
-  const bool touches_eyeball = eyeballs_.contains(src) || eyeballs_.contains(dst);
-  const bool weekend = net::is_weekend(r.first.weekday());
-
-  // Attribute the flow to each non-eyeball, non-local endpoint AS: that is
-  // the population whose provisioning the analysis reasons about.
-  for (const net::Asn as : {src, dst}) {
-    if (as.value() == 0 || eyeballs_.contains(as) || local_.contains(as)) continue;
-    Acc& acc = per_as_[as];
-    if (in_feb) {
-      acc.feb_total += bytes;
-      if (touches_eyeball) acc.feb_res += bytes;
-    } else {
-      acc.mar_total += bytes;
-      if (touches_eyeball) acc.mar_res += bytes;
-    }
-    if (weekend) {
-      acc.weekend += bytes;
-    } else {
-      acc.workday += bytes;
-    }
-  }
-}
-
 void RemoteWorkAnalyzer::add_batch(std::span<const flow::FlowRecord> records,
                                    const filter::FlowColumns& cols) {
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -52,6 +21,8 @@ void RemoteWorkAnalyzer::add_batch(std::span<const flow::FlowRecord> records,
         eyeballs_.contains(src) || eyeballs_.contains(dst);
     const bool weekend = day_cache_.at(r.first).weekend;
 
+    // Attribute the flow to each non-eyeball, non-local endpoint AS: that
+    // is the population whose provisioning the analysis reasons about.
     for (const std::uint32_t as : {src, dst}) {
       if (as == 0 || eyeballs_.contains(as) || local_.contains(as)) continue;
       Acc& acc = per_as_[net::Asn(as)];

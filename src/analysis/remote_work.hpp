@@ -9,7 +9,6 @@
 // residential volume.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <span>
 #include <vector>
@@ -56,26 +55,22 @@ class RemoteWorkAnalyzer {
  public:
   /// `eyeballs`: the curated residential broadband ASes. `local`: the ISP's
   /// own ASN(s), excluded from the per-AS population (they are the vantage
-  /// point itself).
-  RemoteWorkAnalyzer(const AsView& view, AsnSet eyeballs, AsnSet local,
+  /// point itself). Endpoint ASes are read from the batch's FlowColumns,
+  /// which must be built against `view`'s routing snapshot.
+  RemoteWorkAnalyzer(const AsView& /*view*/, AsnSet eyeballs, AsnSet local,
                      net::TimeRange feb_week, net::TimeRange mar_week)
-      : view_(view), eyeballs_(std::move(eyeballs)), local_(std::move(local)),
+      : eyeballs_(std::move(eyeballs)), local_(std::move(local)),
         feb_(feb_week), mar_(mar_week) {}
 
-  void add(const flow::FlowRecord& r);
-
-  /// Columnar batch path: endpoint ASes come pre-resolved from `cols`, the
-  /// weekend flag from the shared day cache. Same final state as add().
+  /// Attributes each flow to its non-eyeball, non-local endpoint ASes.
+  /// Endpoint ASes come pre-resolved from `cols` (built over exactly
+  /// `records`), the weekend flag from the shared day cache.
   void add_batch(std::span<const flow::FlowRecord> records,
                  const filter::FlowColumns& cols);
 
   /// Fold a sibling analyzer (same eyeball/local sets and weeks) into this
   /// one; exact-integer byte accumulators merge order-independently.
   void merge(const RemoteWorkAnalyzer& other);
-
-  [[nodiscard]] std::function<void(const flow::FlowRecord&)> sink() {
-    return [this](const flow::FlowRecord& r) { add(r); };
-  }
 
   /// Per-AS shifts, one entry per AS seen in either week.
   [[nodiscard]] std::vector<AsShift> shifts() const;
@@ -101,7 +96,6 @@ class RemoteWorkAnalyzer {
     double workday = 0, weekend = 0;
   };
 
-  const AsView& view_;
   AsnSet eyeballs_;
   AsnSet local_;
   net::TimeRange feb_;

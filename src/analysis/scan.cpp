@@ -117,4 +117,15 @@ void ScanPool::recycle_buffer(std::vector<flow::FlowRecord>&& buf) {
   }
 }
 
+flow::CollectorStats synthesize_through_wire(
+    const synth::VantagePoint& vp, const synth::AsRegistry& registry,
+    net::TimeRange range, const synth::SynthesisConfig& config,
+    flow::Collector::BatchSink sink, const flow::Anonymizer* anonymizer) {
+  const synth::FlowSynthesizer synth(vp.model, registry, config);
+  flow::ExportPump pump(vp.protocol, std::move(sink), anonymizer);
+  synth.synthesize(range, pump.as_sink());
+  pump.flush();
+  return pump.stats();
+}
+
 }  // namespace lockdown::analysis

@@ -15,6 +15,12 @@
 // the merged result is BIT-IDENTICAL to a single-threaded run regardless
 // of how the stream was sharded -- the determinism the figure-export
 // `--scan-threads` flag relies on.
+//
+// synthesize_through_wire() is the one way a synthesized stream reaches
+// the analyzers: every record crosses the vantage point's wire protocol
+// (encode -> datagrams -> decode) and arrives as one span per decoded
+// datagram, fed to a ScanEngine or a span callback. add_record() is the
+// adapter for the remaining record-at-a-time producers.
 #pragma once
 
 #include <condition_variable>
@@ -30,7 +36,13 @@
 #include <vector>
 
 #include "filter/plan.hpp"
+#include "flow/anonymizer.hpp"
 #include "flow/flow_record.hpp"
+#include "flow/pipeline.hpp"
+#include "net/civil_time.hpp"
+#include "synth/as_registry.hpp"
+#include "synth/synthesizer.hpp"
+#include "synth/vantage.hpp"
 
 namespace lockdown::analysis {
 
@@ -153,5 +165,39 @@ class ScanEngine {
   std::optional<ScanPool> pool_;
   bool reduced_ = false;
 };
+
+/// Synthesizes `range` at `vp` and delivers every record through the
+/// vantage point's wire protocol to `sink`, one span per decoded datagram
+/// (anonymized first when `anonymizer` is set). Returns the collector
+/// statistics of the crossing.
+flow::CollectorStats synthesize_through_wire(
+    const synth::VantagePoint& vp, const synth::AsRegistry& registry,
+    net::TimeRange range, const synth::SynthesisConfig& config,
+    flow::Collector::BatchSink sink,
+    const flow::Anonymizer* anonymizer = nullptr);
+
+/// The same crossing, with the decoded datagrams fed to `engine`'s lanes.
+template <typename Bundle>
+flow::CollectorStats synthesize_through_wire(
+    const synth::VantagePoint& vp, const synth::AsRegistry& registry,
+    net::TimeRange range, const synth::SynthesisConfig& config,
+    ScanEngine<Bundle>& engine, const flow::Anonymizer* anonymizer = nullptr) {
+  return synthesize_through_wire(
+      vp, registry, range, config,
+      [&engine](std::span<const flow::FlowRecord> batch) { engine.feed(batch); },
+      anonymizer);
+}
+
+/// The 1-record adapter: hands `r` to `consumer.add_batch` as a one-record
+/// batch with its own FlowColumns, built against `trie` (the routing
+/// snapshot the consumer's AS lookups assume; null = annotations only).
+template <typename Consumer>
+void add_record(Consumer& consumer, const flow::FlowRecord& r,
+                const filter::AsnTrie* trie = nullptr) {
+  thread_local filter::FlowColumns cols;
+  const std::span<const flow::FlowRecord> one(&r, 1);
+  cols.build(one, trie);
+  consumer.add_batch(one, cols);
+}
 
 }  // namespace lockdown::analysis

@@ -8,7 +8,7 @@
 // matching object. The generator bridges the two semantics with precedence
 // guards: class k's expression is (union of class-k filters) and not
 // (union of all earlier classes' filters). A synthesized-slice test pins
-// the per-class flow/byte totals to AppClassifier::classify_batch exactly.
+// the per-class flow/byte totals to AppClassifier::classify exactly.
 #pragma once
 
 #include <string>

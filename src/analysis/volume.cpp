@@ -8,13 +8,6 @@
 
 namespace lockdown::analysis {
 
-void VolumeAggregator::add(const flow::FlowRecord& r) {
-  if (filter_ && !filter_(r)) return;
-  if (plan_ != nullptr && !plan_->match(r)) return;
-  series_.add(r.first, util::counter_to_double(r.bytes));
-  ++records_;
-}
-
 void VolumeAggregator::add_batch(std::span<const flow::FlowRecord> records,
                                  const filter::FlowColumns& cols) {
   if (plan_ != nullptr) {
@@ -23,14 +16,6 @@ void VolumeAggregator::add_batch(std::span<const flow::FlowRecord> records,
     for (std::size_t i = 0; i < records.size(); ++i) {
       if (mask_[i] == 0) continue;
       series_.add(records[i].first, util::counter_to_double(records[i].bytes));
-      ++records_;
-    }
-    return;
-  }
-  if (filter_) {
-    for (const flow::FlowRecord& r : records) {
-      if (!filter_(r)) continue;
-      series_.add(r.first, util::counter_to_double(r.bytes));
       ++records_;
     }
     return;

@@ -1,14 +1,11 @@
 // Volume aggregation: flows -> calendar time series, the reduction behind
-// Figs 1, 2a, 3, 11a. A VolumeAggregator is a flow sink (plugs directly
-// into a flow::Collector or a synth::FlowSynthesizer) with an optional
-// record filter: either an interpreted std::function or a compiled
-// filter::CompiledFilter, whose FilterPlan mask drives the columnar
-// add_batch path without a per-record function hop.
+// Figs 1, 2a, 3, 11a. A VolumeAggregator consumes record batches with
+// their shared FlowColumns (the ScanEngine Bundle shape) and may be gated
+// by a compiled filter::CompiledFilter, whose plan computes the batch's
+// pass mask in one columnar pass.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -24,23 +21,15 @@ namespace lockdown::analysis {
 
 class VolumeAggregator {
  public:
-  using Filter = std::function<bool(const flow::FlowRecord&)>;
-
-  explicit VolumeAggregator(stats::Bucket bucket, Filter filter = {})
-      : series_(bucket), filter_(std::move(filter)) {}
-
-  /// Compiled-filter variant: `plan` gates records on both the per-record
-  /// and the batch path (as a FilterPlan mask there). The filter must
-  /// outlive the aggregator; null means unfiltered.
-  VolumeAggregator(stats::Bucket bucket, const filter::CompiledFilter* plan)
+  /// `plan` gates records (null means unfiltered); it must outlive the
+  /// aggregator.
+  explicit VolumeAggregator(stats::Bucket bucket,
+                            const filter::CompiledFilter* plan = nullptr)
       : series_(bucket), plan_(plan) {}
 
-  void add(const flow::FlowRecord& r);
-
-  /// Columnar batch path: one FilterPlan mask pass over the batch, then a
-  /// straight accumulation loop. `cols` must have been built over exactly
-  /// `records` (and, when a compiled filter is set, with the trie it was
-  /// compiled against). Same final state as per-record add().
+  /// One plan mask pass over the batch, then a straight accumulation loop.
+  /// `cols` must have been built over exactly `records` (and, when a
+  /// compiled filter is set, with the trie it was compiled against).
   void add_batch(std::span<const flow::FlowRecord> records,
                  const filter::FlowColumns& cols);
 
@@ -49,17 +38,11 @@ class VolumeAggregator {
   /// per-thread instances reproduces single-threaded results bit-exactly.
   void merge(const VolumeAggregator& other);
 
-  /// Sink adapter.
-  [[nodiscard]] std::function<void(const flow::FlowRecord&)> sink() {
-    return [this](const flow::FlowRecord& r) { add(r); };
-  }
-
   [[nodiscard]] const stats::TimeSeries& series() const noexcept { return series_; }
   [[nodiscard]] std::uint64_t records() const noexcept { return records_; }
 
  private:
   stats::TimeSeries series_;
-  Filter filter_;
   const filter::CompiledFilter* plan_ = nullptr;
   std::vector<std::uint8_t> mask_;  ///< add_batch scratch
   std::uint64_t records_ = 0;

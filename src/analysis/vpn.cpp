@@ -43,26 +43,6 @@ bool VpnAnalyzer::is_domain_vpn(const flow::FlowRecord& r) const noexcept {
   return candidates_.contains(r.src_addr) || candidates_.contains(r.dst_addr);
 }
 
-void VpnAnalyzer::add(const flow::FlowRecord& r) {
-  std::size_t week = weeks_.size();
-  for (std::size_t i = 0; i < weeks_.size(); ++i) {
-    if (weeks_[i].contains(r.first)) {
-      week = i;
-      break;
-    }
-  }
-  if (week == weeks_.size()) return;
-
-  const bool port_vpn = is_port_vpn(r);
-  const bool domain_vpn = !port_vpn && is_domain_vpn(r);
-  if (!port_vpn && !domain_vpn) return;
-
-  const std::size_t method = port_vpn ? 0 : 1;
-  const std::size_t weekend = net::is_weekend(r.first.weekday()) ? 1 : 0;
-  bytes_[week][method][weekend][r.first.hour_of_day()] +=
-      util::counter_to_double(r.bytes);
-}
-
 void VpnAnalyzer::add_batch(std::span<const flow::FlowRecord> records,
                             const filter::FlowColumns& cols) {
   for (std::size_t i = 0; i < records.size(); ++i) {

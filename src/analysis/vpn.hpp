@@ -11,7 +11,6 @@
 // weekends as negative bars).
 #pragma once
 
-#include <functional>
 #include <set>
 #include <span>
 #include <vector>
@@ -40,21 +39,15 @@ class VpnAnalyzer {
   /// True if the record is TCP/443 to or from a domain-identified gateway.
   [[nodiscard]] bool is_domain_vpn(const flow::FlowRecord& r) const noexcept;
 
-  void add(const flow::FlowRecord& r);
-
-  /// Columnar batch path: week lookup through the compiled WeekIndex, port
-  /// classification off the batch's service-key column, weekend/hour from
-  /// the shared day cache. Same final state as per-record add().
+  /// Week lookup through the compiled WeekIndex, port classification off
+  /// the batch's service-key column (`cols`, built over exactly
+  /// `records`), weekend/hour from the shared day cache.
   void add_batch(std::span<const flow::FlowRecord> records,
                  const filter::FlowColumns& cols);
 
   /// Fold a sibling analyzer (same weeks/candidates) into this one;
   /// exact-integer hourly bins merge order-independently.
   void merge(const VpnAnalyzer& other);
-
-  [[nodiscard]] std::function<void(const flow::FlowRecord&)> sink() {
-    return [this](const flow::FlowRecord& r) { add(r); };
-  }
 
   /// Average hourly volume for (method, week, hour-of-day, weekend?),
   /// normalized by the maximum across everything (Fig 10's shared scale).

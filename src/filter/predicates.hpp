@@ -1,8 +1,7 @@
-// Predicate helpers shared by the two filter lowerings (plan.cpp's
-// single-record decision DAG and fused.cpp's multi-output batch plan):
-// CIDR lists as merged address intervals, port lists as 65536-bit
-// bitmaps, rate-threshold evaluation, and the recognizer for the fusible
-// `proto P and port L` service-rule shape. Internal to src/filter/.
+// Predicate helpers of the fused filter plan (fused.cpp; defined in
+// plan.cpp): CIDR lists as merged address intervals, port lists as
+// 65536-bit bitmaps, rate-threshold evaluation, and the recognizer for the
+// fusible `proto P and port L` service-rule shape. Internal to src/filter/.
 #pragma once
 
 #include <algorithm>

@@ -9,7 +9,7 @@ namespace lockdown::flow {
 
 namespace {
 
-/// Big-endian load of the widths decode_field() accepts for numeric
+/// Big-endian load of the widths the reference decode accepts for numeric
 /// fields; every other width (including 0) yields 0, matching the
 /// interpreted path's "skip and assign zero" behavior.
 [[nodiscard]] inline std::uint64_t load_be(const std::uint8_t* p,
@@ -90,7 +90,7 @@ DecodePlan DecodePlan::compile(const TemplateRecord& tmpl) {
 
   for (const FieldSpec& f : tmpl.fields) {
     const auto emit_numeric = [&](Op op) {
-      // Non-loadable widths still assign (zero) in decode_field's
+      // Non-loadable widths still assign (zero) in the reference decode's
       // read_uint default case; width 0 encodes that in the step.
       plan.steps_.push_back(Step{static_cast<std::uint32_t>(offset),
                                  numeric_width(f.length) ? f.length

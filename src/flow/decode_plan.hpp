@@ -1,6 +1,6 @@
-// Compiled per-template decode plans. The interpreted decode path walks
-// `tmpl.fields` for every data record and re-dispatches decode_field()'s
-// double switch (field id, then width) per field; at collector rates that
+// Compiled per-template decode plans. An interpreted decode walks
+// `tmpl.fields` for every data record and re-dispatches a double switch
+// (field id, then width) per field; at collector rates that
 // dispatch is the dominant per-record cost. A DecodePlan is compiled once
 // when a template enters the cache: a flat array of {src_offset, width,
 // op} steps with the record stride precomputed, so per-record decoding is
@@ -9,8 +9,9 @@
 // make it into the step list -- their bytes are covered by the precomputed
 // offsets.
 //
-// Semantics are byte-identical to running decode_field() over the template
-// (the differential tests in test_flow_decode_plan.cpp pin this down),
+// Semantics are byte-identical to the per-field reference decode
+// (tests/oracle/decode_oracle.hpp) over the template (the differential
+// tests in test_flow_decode_plan.cpp pin this down),
 // including the hostile corners: duplicate fields overwrite in template
 // order, numeric fields with widths outside {1,2,4,8} assign zero, IPv6
 // fields with a width other than 16 are skipped without assignment.
@@ -82,7 +83,7 @@ class DecodePlan {
   /// per-step passes never stream the whole batch through the cache.
   void decode_tile(const std::uint8_t* base, std::size_t n, FlowRecord* out,
                    const TimeContext& tc) const noexcept;
-  /// Destination of one step. Mirrors the decode_field() switch cases.
+  /// Destination of one step: one per field id the reference decode handles.
   enum class Op : std::uint8_t {
     kBytes,
     kPackets,
@@ -108,7 +109,7 @@ class DecodePlan {
     // Max template is 65535 fields x 65535 bytes < 2^32, so offsets fit.
     std::uint32_t src_offset = 0;
     // 1/2/4/8 (numeric load), 16 (IPv6 copy), or 0: a numeric field with a
-    // width decode_field() cannot load, which assigns zero.
+    // width the reference decode cannot load, which assigns zero.
     std::uint16_t width = 0;
     Op op = Op::kBytes;
   };

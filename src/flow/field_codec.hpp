@@ -1,7 +1,8 @@
-// Per-field encode/decode between FlowRecord and template-described wire
-// records. Shared by the NetFlow v9 and IPFIX codecs. Unknown fields are
-// zero-filled on encode and skipped on decode, which is what RFC 7011
-// requires of collectors.
+// Per-field encode between FlowRecord and template-described wire records,
+// shared by the NetFlow v9 and IPFIX encoders, plus the exporter time
+// context both directions use. Unknown fields are zero-filled on encode.
+// Decoding runs the compiled DecodePlan (decode_plan.hpp); its per-field
+// reference interpreter lives with the test oracles (tests/oracle/).
 #pragma once
 
 #include <cstdint>
@@ -89,85 +90,6 @@ inline void encode_field(WireWriter& w, const FieldSpec& spec,
       write_uint(static_cast<std::uint32_t>(r.last.seconds()));
       break;
     default: w.zeros(spec.length); break;
-  }
-}
-
-inline void decode_field(WireReader& rd, const FieldSpec& spec, FlowRecord& r,
-                         const TimeContext& tc) {
-  auto read_uint = [&]() -> std::uint64_t {
-    switch (spec.length) {
-      case 1: return rd.u8();
-      case 2: return rd.u16();
-      case 4: return rd.u32();
-      case 8: return rd.u64();
-      default: (void)rd.skip(spec.length); return 0;
-    }
-  };
-
-  switch (spec.id) {
-    case FieldId::kOctetDeltaCount: r.bytes = read_uint(); break;
-    case FieldId::kPacketDeltaCount: r.packets = read_uint(); break;
-    case FieldId::kProtocolIdentifier:
-      r.protocol = static_cast<IpProtocol>(read_uint());
-      break;
-    case FieldId::kTcpControlBits:
-      r.tcp_flags = static_cast<std::uint8_t>(read_uint());
-      break;
-    case FieldId::kSourceTransportPort:
-      r.src_port = static_cast<std::uint16_t>(read_uint());
-      break;
-    case FieldId::kDestinationTransportPort:
-      r.dst_port = static_cast<std::uint16_t>(read_uint());
-      break;
-    case FieldId::kIngressInterface:
-      r.input_if = static_cast<std::uint16_t>(read_uint());
-      break;
-    case FieldId::kEgressInterface:
-      r.output_if = static_cast<std::uint16_t>(read_uint());
-      break;
-    case FieldId::kBgpSourceAsNumber:
-      r.src_as = net::Asn(static_cast<std::uint32_t>(read_uint()));
-      break;
-    case FieldId::kBgpDestinationAsNumber:
-      r.dst_as = net::Asn(static_cast<std::uint32_t>(read_uint()));
-      break;
-    case FieldId::kSourceIpv4Address:
-      r.src_addr = net::Ipv4Address(static_cast<std::uint32_t>(read_uint()));
-      break;
-    case FieldId::kDestinationIpv4Address:
-      r.dst_addr = net::Ipv4Address(static_cast<std::uint32_t>(read_uint()));
-      break;
-    case FieldId::kSourceIpv6Address:
-      if (spec.length == 16) {
-        net::Ipv6Address::Bytes b{};
-        (void)rd.read_bytes(b);
-        r.src_addr = net::Ipv6Address(b);
-      } else {
-        (void)rd.skip(spec.length);
-      }
-      break;
-    case FieldId::kDestinationIpv6Address:
-      if (spec.length == 16) {
-        net::Ipv6Address::Bytes b{};
-        (void)rd.read_bytes(b);
-        r.dst_addr = net::Ipv6Address(b);
-      } else {
-        (void)rd.skip(spec.length);
-      }
-      break;
-    case FieldId::kFirstSwitched:
-      r.first = tc.from_uptime(static_cast<std::uint32_t>(read_uint()));
-      break;
-    case FieldId::kLastSwitched:
-      r.last = tc.from_uptime(static_cast<std::uint32_t>(read_uint()));
-      break;
-    case FieldId::kFlowStartSeconds:
-      r.first = net::Timestamp(static_cast<std::int64_t>(read_uint()));
-      break;
-    case FieldId::kFlowEndSeconds:
-      r.last = net::Timestamp(static_cast<std::int64_t>(read_uint()));
-      break;
-    default: (void)rd.skip(spec.length); break;
   }
 }
 

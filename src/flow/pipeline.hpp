@@ -177,7 +177,7 @@ class ExportPump {
   using BatchSink = Collector::BatchSink;
 
   /// Batch form: collected records reach `sink` one span per decoded
-  /// datagram, so span-shaped consumers (ClassHeatmap::batch_sink(), the
+  /// datagram, so span-shaped consumers (the analysis ScanEngine, the
   /// sharded runtime) avoid a type-erased call per record.
   ExportPump(ExportProtocol protocol, BatchSink sink,
              const Anonymizer* anonymizer = nullptr,

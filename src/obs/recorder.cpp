@@ -114,6 +114,10 @@ MetricsRecorder::MetricsRecorder(Registry& registry, RecorderConfig config)
       "Recorder ring fill level, retained samples / capacity");
   series_gauge_ = &registry_.gauge("history_series", {},
                                    "Series tracked by the metrics recorder");
+  journal_errors_ = &registry_.counter(
+      "recorder_journal_write_errors_total", {},
+      "Failed journal opens, writes and flushes; sampling continues and "
+      "the affected rows are lost");
 }
 
 MetricsRecorder::~MetricsRecorder() {
@@ -217,12 +221,19 @@ double MetricsRecorder::ring_occupancy_locked() const {
 }
 
 void MetricsRecorder::journal_write_locked(std::int64_t unix_ms) {
+  // Disk trouble must not stop sampling: each failed open, write, flush or
+  // close is counted, and the sample goes on without its journal rows.
   if (journal_ == nullptr) {
     const std::string path =
         config_.journal_path + "." + std::to_string(unix_ms) + ".csv";
     journal_ = std::fopen(path.c_str(), "w");
-    if (journal_ == nullptr) return;  // disk trouble must not stop sampling
-    std::fputs("unix_ms,series,type,value\n", journal_);
+    if (journal_ == nullptr) {
+      journal_errors_->add();
+      return;
+    }
+    if (std::fputs("unix_ms,series,type,value\n", journal_) == EOF) {
+      journal_errors_->add();
+    }
     journal_samples_ = 0;
   }
   std::string row;
@@ -240,11 +251,11 @@ void MetricsRecorder::journal_write_locked(std::int64_t unix_ms) {
             : s.values[static_cast<std::size_t>((tick_ - 1) % config_.capacity)];
     row += format_point(value);
     row += '\n';
-    std::fputs(row.c_str(), journal_);
+    if (std::fputs(row.c_str(), journal_) == EOF) journal_errors_->add();
   }
-  std::fflush(journal_);
+  if (std::fflush(journal_) != 0) journal_errors_->add();
   if (++journal_samples_ >= config_.journal_rotate_samples) {
-    std::fclose(journal_);
+    if (std::fclose(journal_) != 0) journal_errors_->add();
     journal_ = nullptr;
   }
 }

@@ -29,7 +29,9 @@
 // "name{labels}" ids. CSV is long-format (`unix_ms,series,type,value`) --
 // pandas/Grafana ready. An optional on-disk journal appends every sample
 // as CSV and rotates like trace slices (a new `<base>.<unix_ms>.csv` file
-// every journal_rotate_samples ticks).
+// every journal_rotate_samples ticks); a journal that cannot be opened or
+// written never stops sampling, and every failure counts in
+// recorder_journal_write_errors_total.
 #pragma once
 
 #include <chrono>
@@ -164,6 +166,7 @@ class MetricsRecorder {
 
   Gauge* occupancy_gauge_ = nullptr;  ///< history_ring_occupancy
   Gauge* series_gauge_ = nullptr;     ///< history_series
+  Counter* journal_errors_ = nullptr;  ///< recorder_journal_write_errors_total
 
   std::thread thread_;
   std::mutex stop_mu_;

@@ -7,6 +7,7 @@
 #include "analysis/class_activity.hpp"
 #include "analysis/ports.hpp"
 #include "analysis/remote_work.hpp"
+#include "analysis/scan.hpp"
 #include "analysis/vpn.hpp"
 #include "synth/as_registry.hpp"
 
@@ -145,10 +146,10 @@ TEST_F(HeatmapTest, RequiresSaneWeeks) {
 
 TEST_F(HeatmapTest, DiffClampsAt200PercentAndMasksEarlyMorning) {
   // Base: 100 bytes of email at 12:00 Thursday; stage: 500 bytes (+400%).
-  heatmap_.add(flow_at(weeks_[0].begin.plus(12 * 3600), 100, Asn(64700),
-                       Asn(65001), IpProtocol::kTcp, 993));
-  heatmap_.add(flow_at(weeks_[1].begin.plus(12 * 3600), 500, Asn(64700),
-                       Asn(65001), IpProtocol::kTcp, 993));
+  add_record(heatmap_, flow_at(weeks_[0].begin.plus(12 * 3600), 100, Asn(64700),
+                               Asn(65001), IpProtocol::kTcp, 993));
+  add_record(heatmap_, flow_at(weeks_[1].begin.plus(12 * 3600), 500, Asn(64700),
+                               Asn(65001), IpProtocol::kTcp, 993));
   const auto diff = heatmap_.diff_percent(AppClass::kEmail, 1);
   EXPECT_DOUBLE_EQ(diff[12], 200.0);  // clamped from +400
   EXPECT_DOUBLE_EQ(diff[3], ClassHeatmap::kMaskedHour);  // 2-7 am removed
@@ -160,8 +161,8 @@ TEST_F(HeatmapTest, DiffClampsAt200PercentAndMasksEarlyMorning) {
 }
 
 TEST_F(HeatmapTest, DecreaseClampsAtMinus100) {
-  heatmap_.add(flow_at(weeks_[0].begin.plus(10 * 3600), 1000, Asn(64700),
-                       Asn(2906), IpProtocol::kTcp, 443));
+  add_record(heatmap_, flow_at(weeks_[0].begin.plus(10 * 3600), 1000, Asn(64700),
+                               Asn(2906), IpProtocol::kTcp, 443));
   // Stage week: nothing (total disappearance).
   const auto diff = heatmap_.diff_percent(AppClass::kVod, 1);
   EXPECT_DOUBLE_EQ(diff[10], -100.0);
@@ -173,11 +174,11 @@ TEST(PortAnalyzer, TopPortsExcludeWebAndRankByVolume) {
   const std::vector<TimeRange> weeks = {TimeRange::week_of(Date(2020, 2, 20))};
   PortAnalyzer pa(weeks);
   const Timestamp t = weeks[0].begin.plus(12 * 3600);
-  pa.add(flow_at(t, 10000, Asn(1), Asn(2), IpProtocol::kTcp, 443));
-  pa.add(flow_at(t, 8000, Asn(1), Asn(2), IpProtocol::kTcp, 80));
-  pa.add(flow_at(t, 500, Asn(1), Asn(2), IpProtocol::kUdp, 443));
-  pa.add(flow_at(t, 300, Asn(1), Asn(2), IpProtocol::kUdp, 4500));
-  pa.add(flow_at(t, 100, Asn(1), Asn(2), IpProtocol::kTcp, 993));
+  add_record(pa, flow_at(t, 10000, Asn(1), Asn(2), IpProtocol::kTcp, 443));
+  add_record(pa, flow_at(t, 8000, Asn(1), Asn(2), IpProtocol::kTcp, 80));
+  add_record(pa, flow_at(t, 500, Asn(1), Asn(2), IpProtocol::kUdp, 443));
+  add_record(pa, flow_at(t, 300, Asn(1), Asn(2), IpProtocol::kUdp, 4500));
+  add_record(pa, flow_at(t, 100, Asn(1), Asn(2), IpProtocol::kTcp, 993));
 
   const auto top = pa.top_ports(3);
   ASSERT_EQ(top.size(), 3u);
@@ -195,10 +196,10 @@ TEST(PortAnalyzer, ProfilesNormalizedAcrossWeeks) {
                                         TimeRange::week_of(Date(2020, 3, 19))};
   PortAnalyzer pa(weeks);
   // Thursday 12:00 each week: 100 then 300 bytes on UDP/4500.
-  pa.add(flow_at(weeks[0].begin.plus(12 * 3600), 100, Asn(1), Asn(2),
-                 IpProtocol::kUdp, 4500));
-  pa.add(flow_at(weeks[1].begin.plus(12 * 3600), 300, Asn(1), Asn(2),
-                 IpProtocol::kUdp, 4500));
+  add_record(pa, flow_at(weeks[0].begin.plus(12 * 3600), 100, Asn(1), Asn(2),
+                         IpProtocol::kUdp, 4500));
+  add_record(pa, flow_at(weeks[1].begin.plus(12 * 3600), 300, Asn(1), Asn(2),
+                         IpProtocol::kUdp, 4500));
 
   const auto profiles = pa.profiles({PortKey{IpProtocol::kUdp, 4500}});
   ASSERT_EQ(profiles.size(), 2u);
@@ -212,7 +213,7 @@ TEST(PortAnalyzer, GreAndEspAggregateWithoutPorts) {
   PortAnalyzer pa(weeks);
   auto r = flow_at(weeks[0].begin.plus(12 * 3600), 700, Asn(1), Asn(2),
                    IpProtocol::kGre, 0, 0);
-  pa.add(r);
+  add_record(pa, r);
   const auto top = pa.top_ports(1);
   ASSERT_EQ(top.size(), 1u);
   EXPECT_EQ(top[0].proto, IpProtocol::kGre);
@@ -234,11 +235,11 @@ TEST(ClassActivity, CountsUniqueIpsAndVolumePerHour) {
     r.dst_addr = net::Ipv4Address(0xca000001);
     return r;
   };
-  tracker.add(gaming_flow(0x0a000001, h0));
-  tracker.add(gaming_flow(0x0a000002, h0.plus(60)));
-  tracker.add(gaming_flow(0x0a000001, h0.plus(120)));  // repeat client
+  add_record(tracker, gaming_flow(0x0a000001, h0));
+  add_record(tracker, gaming_flow(0x0a000002, h0.plus(60)));
+  add_record(tracker, gaming_flow(0x0a000001, h0.plus(120)));  // repeat client
   // Non-gaming flow is ignored.
-  tracker.add(flow_at(h0, 999999, Asn(64710), Asn(65001), IpProtocol::kTcp, 443));
+  add_record(tracker, flow_at(h0, 999999, Asn(64710), Asn(65001), IpProtocol::kTcp, 443));
 
   const auto hourly = tracker.hourly();
   ASSERT_EQ(hourly.size(), 1u);
@@ -258,7 +259,7 @@ TEST(ClassActivity, EnvelopesNormalizedToMinimum) {
       auto r = flow_at(Timestamp::from_date(Date(2020, 2, 20).plus_days(day), h),
                        100 * (day + 1) + h, Asn(64710), Asn(32590),
                        IpProtocol::kUdp, 27001);
-      tracker.add(r);
+      add_record(tracker, r);
     }
   }
   const auto env = tracker.daily_volume_envelope();
@@ -278,12 +279,12 @@ TEST(ClassActivity, EnvelopeNormalizesBySmallestPositiveHour) {
   ClassActivityTracker tracker(classifier, view, AppClass::kGaming);
 
   const Date day(2020, 2, 20);
-  tracker.add(flow_at(Timestamp::from_date(day, 0), 0, Asn(64710), Asn(32590),
-                      IpProtocol::kUdp, 27001));  // idle hour: zero bytes
-  tracker.add(flow_at(Timestamp::from_date(day, 1), 50, Asn(64710),
-                      Asn(32590), IpProtocol::kUdp, 27001));
-  tracker.add(flow_at(Timestamp::from_date(day, 2), 100, Asn(64710),
-                      Asn(32590), IpProtocol::kUdp, 27001));
+  add_record(tracker, flow_at(Timestamp::from_date(day, 0), 0, Asn(64710), Asn(32590),
+                              IpProtocol::kUdp, 27001));  // idle hour: zero bytes
+  add_record(tracker, flow_at(Timestamp::from_date(day, 1), 50, Asn(64710),
+                              Asn(32590), IpProtocol::kUdp, 27001));
+  add_record(tracker, flow_at(Timestamp::from_date(day, 2), 100, Asn(64710),
+                              Asn(32590), IpProtocol::kUdp, 27001));
 
   const auto env = tracker.daily_volume_envelope();
   ASSERT_EQ(env.size(), 1u);
@@ -294,8 +295,8 @@ TEST(ClassActivity, EnvelopeNormalizesBySmallestPositiveHour) {
 
   // A series with no positive hour at all still avoids dividing by zero.
   ClassActivityTracker idle(classifier, view, AppClass::kGaming);
-  idle.add(flow_at(Timestamp::from_date(day, 3), 0, Asn(64710), Asn(32590),
-                   IpProtocol::kUdp, 27001));
+  add_record(idle, flow_at(Timestamp::from_date(day, 3), 0, Asn(64710), Asn(32590),
+                           IpProtocol::kUdp, 27001));
   const auto flat = idle.daily_volume_envelope();
   ASSERT_EQ(flat.size(), 1u);
   EXPECT_DOUBLE_EQ(flat[0].max, 0.0);
@@ -331,15 +332,15 @@ TEST(VpnAnalyzer, DomainClassificationAndGrowth) {
     return r;
   };
   // Base week workday noon: 100 bytes domain-VPN; stage week: 350.
-  vpn.add(tls_flow(weeks[0].begin.plus(12 * 3600), 100, true));
-  vpn.add(tls_flow(weeks[1].begin.plus(12 * 3600), 350, true));
+  add_record(vpn, tls_flow(weeks[0].begin.plus(12 * 3600), 100, true));
+  add_record(vpn, tls_flow(weeks[1].begin.plus(12 * 3600), 350, true));
   // Plain TLS is ignored.
-  vpn.add(tls_flow(weeks[1].begin.plus(12 * 3600), 100000, false));
+  add_record(vpn, tls_flow(weeks[1].begin.plus(12 * 3600), 100000, false));
   // Port VPN flat.
-  vpn.add(flow_at(weeks[0].begin.plus(12 * 3600), 200, Asn(64700), Asn(65001),
-                  IpProtocol::kUdp, 4500));
-  vpn.add(flow_at(weeks[1].begin.plus(12 * 3600), 210, Asn(64700), Asn(65001),
-                  IpProtocol::kUdp, 4500));
+  add_record(vpn, flow_at(weeks[0].begin.plus(12 * 3600), 200, Asn(64700), Asn(65001),
+                          IpProtocol::kUdp, 4500));
+  add_record(vpn, flow_at(weeks[1].begin.plus(12 * 3600), 210, Asn(64700), Asn(65001),
+                          IpProtocol::kUdp, 4500));
 
   EXPECT_NEAR(vpn.working_hours_growth(VpnMethod::kDomain, 1), 250.0, 1e-9);
   EXPECT_NEAR(vpn.working_hours_growth(VpnMethod::kPort, 1), 5.0, 1e-9);
@@ -369,16 +370,16 @@ TEST(RemoteWork, ShiftsGroupsAndQuadrants) {
   // AS 65001: residential-facing, grows 2x -- workday-dominated. The weeks
   // start on a Wednesday, so weekdays are at day offsets 0,1,2,5,6.
   for (const int day : {0, 1, 2, 5, 6}) {
-    rw.add(flow_at(feb.begin.plus(day * 86400 + 10 * 3600), 100, Asn(65001),
-                   Asn(64700), IpProtocol::kTcp, 443));
-    rw.add(flow_at(mar.begin.plus(day * 86400 + 10 * 3600), 200, Asn(65001),
-                   Asn(64700), IpProtocol::kTcp, 443));
+    add_record(rw, flow_at(feb.begin.plus(day * 86400 + 10 * 3600), 100, Asn(65001),
+                           Asn(64700), IpProtocol::kTcp, 443));
+    add_record(rw, flow_at(mar.begin.plus(day * 86400 + 10 * 3600), 200, Asn(65001),
+                           Asn(64700), IpProtocol::kTcp, 443));
   }
   // AS 65002: b2b only (no eyeball), shrinks by half.
-  rw.add(flow_at(feb.begin.plus(10 * 3600), 400, Asn(65002), Asn(64650),
-                 IpProtocol::kTcp, 443));
-  rw.add(flow_at(mar.begin.plus(10 * 3600), 200, Asn(65002), Asn(64650),
-                 IpProtocol::kTcp, 443));
+  add_record(rw, flow_at(feb.begin.plus(10 * 3600), 400, Asn(65002), Asn(64650),
+                         IpProtocol::kTcp, 443));
+  add_record(rw, flow_at(mar.begin.plus(10 * 3600), 200, Asn(65002), Asn(64650),
+                         IpProtocol::kTcp, 443));
 
   const auto shifts = rw.shifts();
   // Population excludes eyeballs and the local AS; 64650 (hosting) also

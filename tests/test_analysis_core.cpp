@@ -5,7 +5,9 @@
 #include "analysis/hypergiants.hpp"
 #include "analysis/link_utilization.hpp"
 #include "analysis/pattern.hpp"
+#include "analysis/scan.hpp"
 #include "analysis/volume.hpp"
+#include "filter/plan.hpp"
 #include "synth/as_registry.hpp"
 #include "synth/synthesizer.hpp"
 #include "synth/vantage.hpp"
@@ -35,13 +37,13 @@ flow::FlowRecord make_flow(Timestamp t, std::uint64_t bytes, Asn src, Asn dst,
 }
 
 TEST(VolumeAggregator, FilterAndBucketing) {
+  const auto big = filter::CompiledFilter::compile("bytes > 100");
   VolumeAggregator all(stats::Bucket::kHour);
-  VolumeAggregator only_big(stats::Bucket::kHour,
-                            [](const flow::FlowRecord& r) { return r.bytes > 100; });
+  VolumeAggregator only_big(stats::Bucket::kHour, &big);
   const Timestamp t = Timestamp::from_date(Date(2020, 2, 19), 10);
   for (const std::uint64_t b : {50ull, 200ull, 300ull}) {
-    all.add(make_flow(t, b, Asn(1), Asn(2)));
-    only_big.add(make_flow(t, b, Asn(1), Asn(2)));
+    add_record(all, make_flow(t, b, Asn(1), Asn(2)));
+    add_record(only_big, make_flow(t, b, Asn(1), Asn(2)));
   }
   EXPECT_DOUBLE_EQ(all.series().at(t), 550.0);
   EXPECT_DOUBLE_EQ(only_big.series().at(t), 500.0);
@@ -194,6 +196,8 @@ class HypergiantTest : public ::testing::Test {
       : reg_(synth::AsRegistry::create_default()), view_(reg_.trie()),
         analyzer_(view_, AsnSet(synth::AsRegistry::hypergiant_asns())) {}
 
+  void add(const flow::FlowRecord& r) { add_record(analyzer_, r, &reg_.trie()); }
+
   synth::AsRegistry reg_;
   AsView view_;
   HypergiantAnalyzer analyzer_;
@@ -202,10 +206,10 @@ class HypergiantTest : public ::testing::Test {
 TEST_F(HypergiantTest, ShareAndPerAsAttribution) {
   const Timestamp t = Timestamp::from_date(Date(2020, 1, 15), 12);
   // 3 hypergiant flows of 100, 1 other flow of 100.
-  analyzer_.add(make_flow(t, 100, Asn(15169), Asn(64700)));
-  analyzer_.add(make_flow(t, 100, Asn(64700), Asn(2906)));  // dst is HG
-  analyzer_.add(make_flow(t, 100, Asn(20940), Asn(64700)));
-  analyzer_.add(make_flow(t, 100, Asn(65001), Asn(64700)));
+  add(make_flow(t, 100, Asn(15169), Asn(64700)));
+  add(make_flow(t, 100, Asn(64700), Asn(2906)));  // dst is HG
+  add(make_flow(t, 100, Asn(20940), Asn(64700)));
+  add(make_flow(t, 100, Asn(65001), Asn(64700)));
   EXPECT_DOUBLE_EQ(analyzer_.hypergiant_share(), 0.75);
   const auto per_hg = analyzer_.per_hypergiant_bytes();
   EXPECT_DOUBLE_EQ(per_hg.at(Asn(15169)), 100.0);
@@ -214,15 +218,15 @@ TEST_F(HypergiantTest, ShareAndPerAsAttribution) {
 
 TEST_F(HypergiantTest, WeeklySlicesNormalizeByBaseline) {
   // Baseline week 3 (Jan 15 is a Wednesday): workday work-hours slice.
-  analyzer_.add(make_flow(Timestamp::from_date(Date(2020, 1, 15), 10), 100,
-                          Asn(15169), Asn(64700)));
-  analyzer_.add(make_flow(Timestamp::from_date(Date(2020, 1, 15), 10), 100,
-                          Asn(65001), Asn(64700)));
+  add(make_flow(Timestamp::from_date(Date(2020, 1, 15), 10), 100,
+                Asn(15169), Asn(64700)));
+  add(make_flow(Timestamp::from_date(Date(2020, 1, 15), 10), 100,
+                Asn(65001), Asn(64700)));
   // Week 12 (Mar 18, Wednesday): hypergiants 1.5x, others 2x.
-  analyzer_.add(make_flow(Timestamp::from_date(Date(2020, 3, 18), 10), 150,
-                          Asn(15169), Asn(64700)));
-  analyzer_.add(make_flow(Timestamp::from_date(Date(2020, 3, 18), 10), 200,
-                          Asn(65001), Asn(64700)));
+  add(make_flow(Timestamp::from_date(Date(2020, 3, 18), 10), 150,
+                Asn(15169), Asn(64700)));
+  add(make_flow(Timestamp::from_date(Date(2020, 3, 18), 10), 200,
+                Asn(65001), Asn(64700)));
 
   const auto series = analyzer_.weekly_series(3);
   bool found = false;
@@ -237,8 +241,8 @@ TEST_F(HypergiantTest, WeeklySlicesNormalizeByBaseline) {
 }
 
 TEST_F(HypergiantTest, NightHoursExcludedFromSlices) {
-  analyzer_.add(make_flow(Timestamp::from_date(Date(2020, 1, 15), 3), 100,
-                          Asn(15169), Asn(64700)));
+  add(make_flow(Timestamp::from_date(Date(2020, 1, 15), 3), 100,
+                Asn(15169), Asn(64700)));
   EXPECT_THROW(analyzer_.weekly_series(3), std::invalid_argument);
   // ...but the share still counts night traffic.
   EXPECT_DOUBLE_EQ(analyzer_.hypergiant_share(), 1.0);

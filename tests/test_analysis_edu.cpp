@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/edu.hpp"
+#include "analysis/scan.hpp"
 #include "synth/as_registry.hpp"
 
 namespace lockdown::analysis {
@@ -54,6 +55,8 @@ class EduTest : public ::testing::Test {
     return r;
   }
 
+  void add(const flow::FlowRecord& r) { add_record(analyzer_, r, &reg_.trie()); }
+
   synth::AsRegistry reg_;
   AsView view_;
   EduAnalyzer analyzer_;
@@ -104,8 +107,8 @@ TEST_F(EduTest, VolumeDirectionality) {
   const Timestamp t = Timestamp::from_date(Date(2020, 3, 2), 10);
   // Campus download: request out (500 B), response in (100 KB).
   const auto req = request(t, Asn(64800), Asn(15169), IpProtocol::kTcp, 443);
-  analyzer_.add(req);
-  analyzer_.add(response(req, 100000));
+  add(req);
+  add(response(req, 100000));
 
   EXPECT_DOUBLE_EQ(analyzer_.egress_volume().at(t.floor_day()), 500.0);
   EXPECT_DOUBLE_EQ(analyzer_.ingress_volume().at(t.floor_day()), 100000.0);
@@ -117,12 +120,12 @@ TEST_F(EduTest, ConnectionCountingAndDirection) {
   const Timestamp t = Timestamp::from_date(Date(2020, 3, 2), 10);
   // Incoming web connection (external client -> uni server).
   const auto in_req = request(t, Asn(64710), Asn(64800), IpProtocol::kTcp, 443);
-  analyzer_.add(in_req);
-  analyzer_.add(response(in_req, 9000));  // response flow: not a connection
+  add(in_req);
+  add(response(in_req, 9000));  // response flow: not a connection
   // Outgoing SSH connection (uni -> external).
-  analyzer_.add(request(t, Asn(64800), Asn(65001), IpProtocol::kTcp, 22));
+  add(request(t, Asn(64800), Asn(65001), IpProtocol::kTcp, 22));
   // Undetermined: unknown service port.
-  analyzer_.add(request(t, Asn(64800), Asn(64650), IpProtocol::kTcp, 6881));
+  add(request(t, Asn(64800), Asn(64650), IpProtocol::kTcp, 6881));
 
   const auto web_in = analyzer_.daily_connections(EduClass::kWeb, Direction::kIncoming);
   ASSERT_EQ(web_in.size(), 1u);
@@ -142,12 +145,12 @@ TEST_F(EduTest, MedianGrowthRatios) {
   // 2 VPN-in connections per day before; 9 after (growth 4.5x).
   for (int d = 0; d < 7; ++d) {
     for (int i = 0; i < 2; ++i) {
-      analyzer_.add(request(before.begin.plus(d * 86400 + i * 60 + 36000),
-                            Asn(64710), Asn(64800), IpProtocol::kUdp, 1194));
+      add(request(before.begin.plus(d * 86400 + i * 60 + 36000),
+                  Asn(64710), Asn(64800), IpProtocol::kUdp, 1194));
     }
     for (int i = 0; i < 9; ++i) {
-      analyzer_.add(request(after.begin.plus(d * 86400 + i * 60 + 36000),
-                            Asn(64710), Asn(64800), IpProtocol::kUdp, 1194));
+      add(request(after.begin.plus(d * 86400 + i * 60 + 36000),
+                  Asn(64710), Asn(64800), IpProtocol::kUdp, 1194));
     }
   }
   EXPECT_NEAR(analyzer_.median_growth(EduClass::kVpn, Direction::kIncoming,

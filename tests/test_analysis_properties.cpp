@@ -6,6 +6,7 @@
 #include "analysis/app_filter.hpp"
 #include "analysis/hypergiants.hpp"
 #include "analysis/ports.hpp"
+#include "analysis/scan.hpp"
 #include "analysis/volume.hpp"
 #include "flow/pipeline.hpp"
 #include "synth/as_registry.hpp"
@@ -91,9 +92,9 @@ TEST_P(AnalysisProperty, WeeklyNormalizationIsScaleInvariant) {
   VolumeAggregator b(stats::Bucket::kDay);
   for (int i = 0; i < 2000; ++i) {
     auto r = random_record(window);
-    a.add(r);
+    add_record(a, r);
     r.bytes *= 1000;
-    b.add(r);
+    add_record(b, r);
   }
   const auto wa = weekly_normalized(a.series(), 3);
   const auto wb = weekly_normalized(b.series(), 3);
@@ -125,9 +126,9 @@ TEST_P(AnalysisProperty, HeatmapDiffIsScaleInvariantAndBounded) {
       r.dst_port = 993;
       r.src_port = 50000;
     }
-    h1.add(r);
+    add_record(h1, r, &reg.trie());
     r.bytes *= 77;
-    h2.add(r);
+    add_record(h2, r, &reg.trie());
   }
   for (const auto cls : h1.observed_classes()) {
     const auto d1 = h1.diff_percent(cls, 1);
@@ -146,7 +147,9 @@ TEST_P(AnalysisProperty, PortProfilesPeakAtExactlyOne) {
   const std::vector<TimeRange> weeks = {TimeRange::week_of(Date(2020, 2, 20)),
                                         TimeRange::week_of(Date(2020, 3, 19))};
   PortAnalyzer pa(weeks);
-  for (int i = 0; i < 4000; ++i) pa.add(random_record(weeks[rng_.uniform_u64(2)]));
+  for (int i = 0; i < 4000; ++i) {
+    add_record(pa, random_record(weeks[rng_.uniform_u64(2)]));
+  }
 
   const auto top = pa.top_ports(6);
   const auto profiles = pa.profiles(top);
@@ -169,7 +172,7 @@ TEST_P(AnalysisProperty, HypergiantShareIsAProbability) {
   const AsView view(reg.trie());
   HypergiantAnalyzer analyzer(view, AsnSet(synth::AsRegistry::hypergiant_asns()));
   const TimeRange day = TimeRange::day_of(Date(2020, 1, 15));
-  for (int i = 0; i < 2000; ++i) analyzer.add(random_record(day));
+  for (int i = 0; i < 2000; ++i) add_record(analyzer, random_record(day), &reg.trie());
   EXPECT_GE(analyzer.hypergiant_share(), 0.0);
   EXPECT_LE(analyzer.hypergiant_share(), 1.0);
   // Per-AS attribution is consistent with the aggregate share: positive

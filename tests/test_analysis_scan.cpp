@@ -1,10 +1,12 @@
 // Columnar batch kernels + scan engine (DESIGN.md §15).
 //
 //  * Differential suite: for EVERY analysis aggregator, feeding a 1M-flow
-//    mixed synthetic stream through add_batch(records, FlowColumns) must
-//    produce EXACTLY the per-record add() state -- compared with == on
-//    doubles, not tolerances. The exact-integer accumulation invariant
-//    (util::counter_to_double) is what makes this equality achievable.
+//    mixed synthetic stream through add_batch(records, FlowColumns) in
+//    4096-record chunks must produce EXACTLY the state of the same stream
+//    fed as 1-record batches through the add_record() adapter -- compared
+//    with == on doubles, not tolerances. The exact-integer accumulation
+//    invariant (util::counter_to_double) is what makes this equality
+//    achievable; the chunked side exercises every run-grouped flush.
 //  * WeekIndex / DayFlagsCache: the compiled calendar caches against the
 //    naive per-record computations, including overlapping-week first-match.
 //  * ScanPool / ScanEngine: sharded N-thread scans reduce to byte-identical
@@ -114,6 +116,12 @@ const std::vector<FlowRecord>& stream() {
   return s;
 }
 
+/// The reference side: every record as its own 1-record batch.
+template <typename Consumer>
+void feed_records(Consumer& consumer) {
+  for (const FlowRecord& r : stream()) add_record(consumer, r, &reg().trie());
+}
+
 /// Feed `records` chunk-wise, building the shared columns once per chunk
 /// exactly like ScanPool workers do.
 template <typename Fn>
@@ -139,12 +147,12 @@ std::set<net::IpAddress> vpn_candidates() {
   return c;
 }
 
-// --- differential: add_batch == add, exactly ---------------------------------
+// --- differential: chunked add_batch == 1-record batches, exactly -----------
 
 TEST(BatchDifferential, VolumeAggregator) {
   VolumeAggregator rec(stats::Bucket::kDay);
   VolumeAggregator bat(stats::Bucket::kDay);
-  for (const FlowRecord& r : stream()) rec.add(r);
+  feed_records(rec);
   feed_columns(stream(), [&](auto batch, const auto& cols) {
     bat.add_batch(batch, cols);
   });
@@ -158,7 +166,7 @@ TEST(BatchDifferential, VolumeAggregatorWithCompiledPlan) {
       filter::CompiledFilter::compile("proto tcp and port 443", &reg().trie());
   VolumeAggregator rec(stats::Bucket::kDay, &plan);
   VolumeAggregator bat(stats::Bucket::kDay, &plan);
-  for (const FlowRecord& r : stream()) rec.add(r);
+  feed_records(rec);
   feed_columns(stream(), [&](auto batch, const auto& cols) {
     bat.add_batch(batch, cols);
   });
@@ -172,7 +180,7 @@ TEST(BatchDifferential, VolumeAggregatorWithCompiledPlan) {
 TEST(BatchDifferential, PortAnalyzer) {
   PortAnalyzer rec(kWeeks);
   PortAnalyzer bat(kWeeks);
-  for (const FlowRecord& r : stream()) rec.add(r);
+  feed_records(rec);
   feed_columns(stream(), [&](auto batch, const auto& cols) {
     bat.add_batch(batch, cols);
   });
@@ -197,7 +205,7 @@ TEST(BatchDifferential, HypergiantAnalyzer) {
   const AsnSet hgs(synth::AsRegistry::hypergiant_asns());
   HypergiantAnalyzer rec(view, hgs);
   HypergiantAnalyzer bat(view, hgs);
-  for (const FlowRecord& r : stream()) rec.add(r);
+  feed_records(rec);
   feed_columns(stream(), [&](auto batch, const auto& cols) {
     bat.add_batch(batch, cols);
   });
@@ -221,7 +229,7 @@ TEST(BatchDifferential, EduAnalyzer) {
   const AsnSet hgs(synth::AsRegistry::hypergiant_asns());
   EduAnalyzer rec(view, universities, hgs);
   EduAnalyzer bat(view, universities, hgs);
-  for (const FlowRecord& r : stream()) rec.add(r);
+  feed_records(rec);
   feed_columns(stream(), [&](auto batch, const auto& cols) {
     bat.add_batch(batch, cols);
   });
@@ -248,7 +256,7 @@ TEST(BatchDifferential, ClassActivityTracker) {
   const auto classifier = AppClassifier::table1();
   ClassActivityTracker rec(classifier, view, AppClass::kWebConf);
   ClassActivityTracker bat(classifier, view, AppClass::kWebConf);
-  for (const FlowRecord& r : stream()) rec.add(r);
+  feed_records(rec);
   feed_columns(stream(), [&](auto batch, const auto& cols) {
     bat.add_batch(batch, cols);
   });
@@ -263,15 +271,20 @@ TEST(BatchDifferential, ClassActivityTracker) {
   }
 }
 
+/// Chunked in the scan engine's 4096-record batches and in the collector's
+/// datagram-sized (21-record) batches.
 TEST(BatchDifferential, ClassHeatmapBothBatchPaths) {
   const AsView view(reg().trie());
   const auto classifier = AppClassifier::table1();
   ClassHeatmap rec(classifier, view, kWeeks);
   ClassHeatmap plain_batch(classifier, view, kWeeks);
   ClassHeatmap col_batch(classifier, view, kWeeks);
-  for (const FlowRecord& r : stream()) rec.add(r);
+  feed_records(rec);
+  feed_columns(
+      stream(),
+      [&](auto batch, const auto& cols) { plain_batch.add_batch(batch, cols); },
+      21);
   feed_columns(stream(), [&](auto batch, const auto& cols) {
-    plain_batch.add_batch(batch);  // record-shaped batch path
     col_batch.add_batch(batch, cols);
   });
   const auto classes = rec.observed_classes();
@@ -291,7 +304,7 @@ TEST(BatchDifferential, RemoteWorkAnalyzer) {
                          AsnSet({Asn(65001)}), kWeeks[0], kWeeks[1]);
   RemoteWorkAnalyzer bat(view, AsnSet({Asn(64700), Asn(64701)}),
                          AsnSet({Asn(65001)}), kWeeks[0], kWeeks[1]);
-  for (const FlowRecord& r : stream()) rec.add(r);
+  feed_records(rec);
   feed_columns(stream(), [&](auto batch, const auto& cols) {
     bat.add_batch(batch, cols);
   });
@@ -312,7 +325,7 @@ TEST(BatchDifferential, RemoteWorkAnalyzer) {
 TEST(BatchDifferential, VpnAnalyzer) {
   VpnAnalyzer rec(kWeeks, vpn_candidates());
   VpnAnalyzer bat(kWeeks, vpn_candidates());
-  for (const FlowRecord& r : stream()) rec.add(r);
+  feed_records(rec);
   feed_columns(stream(), [&](auto batch, const auto& cols) {
     bat.add_batch(batch, cols);
   });
@@ -545,15 +558,9 @@ TEST(ScanEngineDeterminism, FourThreadsByteIdenticalToOne) {
     EXPECT_EQ(rendered[0][i], rendered[1][i]) << "figure artifact " << i;
   }
 
-  // And the 1-thread scan equals the plain per-record reference.
+  // And the 1-thread scan equals the same stream fed as 1-record batches.
   FigureBundle ref = factory();
-  for (const FlowRecord& r : records) {
-    ref.volume.add(r);
-    ref.ports.add(r);
-    ref.hyper.add(r);
-    ref.heatmap.add(r);
-    ref.vpn.add(r);
-  }
+  for (const FlowRecord& r : records) add_record(ref, r, &reg().trie());
   const auto ref_rendered = render_figures(ref);
   ASSERT_EQ(ref_rendered.size(), rendered[0].size());
   for (std::size_t i = 0; i < ref_rendered.size(); ++i) {

@@ -1,12 +1,15 @@
 // Compiled app-classification tables (DESIGN.md section 9): differential
-// fuzz of the flat classify() against the interpreted
-// classify_reference(), the batched paths, registry validation, and the
-// ClassHeatmap week binary search.
+// fuzz of the flat classify() against the interpreted registry scan
+// (oracle::classify_reference, tests/oracle/), the columnar batch path,
+// registry validation, and the ClassHeatmap week binary search.
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "analysis/app_filter.hpp"
+#include "analysis/scan.hpp"
+#include "filter/plan.hpp"
+#include "oracle/classify_oracle.hpp"
 #include "synth/as_registry.hpp"
 
 namespace lockdown::analysis {
@@ -88,7 +91,7 @@ TEST_F(FlatClassifierTest, DifferentialFuzzMillionFlows) {
   std::size_t classified = 0;
   for (const auto& r : flows) {
     const auto flat = classifier_.classify(r, view_);
-    const auto ref = classifier_.classify_reference(r, view_);
+    const auto ref = oracle::classify_reference(classifier_, r, view_);
     if (flat != ref) ++mismatches;
     classified += ref.has_value() ? 1 : 0;
   }
@@ -101,8 +104,13 @@ TEST_F(FlatClassifierTest, DifferentialFuzzMillionFlows) {
 
 TEST_F(FlatClassifierTest, BatchMatchesSingleRecordClassification) {
   const auto flows = fuzz_flows(classifier_, 10'000, 7);
-  const auto batched = classifier_.classify_batch(flows, view_);
-  ASSERT_EQ(batched.size(), flows.size());
+  filter::FlowColumns cols;
+  cols.build(flows, &reg_.trie());
+  ClassifyCache cache;
+  std::vector<std::optional<AppClass>> batched(flows.size());
+  classifier_.classify_columns(flows.size(), cols.service.data(),
+                               cols.src_as.data(), cols.dst_as.data(), batched,
+                               cache);
   for (std::size_t i = 0; i < flows.size(); ++i) {
     EXPECT_EQ(batched[i], classifier_.classify(flows[i], view_)) << i;
   }
@@ -126,11 +134,11 @@ TEST_F(FlatClassifierTest, FirstMatchPriorityOnSharedPort) {
   r.src_as = Asn(8075);
   r.dst_as = Asn(1);
   EXPECT_EQ(c.classify(r, view_), AppClass::kWebConf);
-  EXPECT_EQ(c.classify(r, view_), c.classify_reference(r, view_));
+  EXPECT_EQ(c.classify(r, view_), oracle::classify_reference(c, r, view_));
 
   r.src_as = Asn(1);  // AS criterion fails -> the port-only filter wins
   EXPECT_EQ(c.classify(r, view_), AppClass::kGaming);
-  EXPECT_EQ(c.classify(r, view_), c.classify_reference(r, view_));
+  EXPECT_EQ(c.classify(r, view_), oracle::classify_reference(c, r, view_));
 }
 
 TEST_F(FlatClassifierTest, PortlessProtocolFiltersUseTheFallbackScan) {
@@ -145,7 +153,7 @@ TEST_F(FlatClassifierTest, PortlessProtocolFiltersUseTheFallbackScan) {
   flow::FlowRecord r;
   r.protocol = IpProtocol::kGre;
   EXPECT_EQ(c.classify(r, view_), AppClass::kVod);
-  EXPECT_EQ(c.classify(r, view_), c.classify_reference(r, view_));
+  EXPECT_EQ(c.classify(r, view_), oracle::classify_reference(c, r, view_));
   r.protocol = IpProtocol::kEsp;
   EXPECT_EQ(c.classify(r, view_), AppClass::kEmail);
   r.protocol = IpProtocol::kIcmp;
@@ -194,8 +202,10 @@ TEST_F(FlatClassifierTest, HeatmapBatchMatchesPerRecordAdd) {
         static_cast<std::int64_t>(i) % net::kSecondsPerWeek);
   }
 
-  for (const auto& r : flows) per_record.add(r);
-  batched.add_batch(flows);
+  for (const auto& r : flows) add_record(per_record, r, &reg_.trie());
+  filter::FlowColumns cols;
+  cols.build(flows, &reg_.trie());
+  batched.add_batch(flows, cols);
 
   ASSERT_EQ(per_record.observed_classes(), batched.observed_classes());
   for (const AppClass cls : per_record.observed_classes()) {
@@ -215,7 +225,7 @@ TEST_F(FlatClassifierTest, OverlappingWeeksResolveToFirstInVectorOrder) {
   ASSERT_TRUE(b.contains(overlap));
 
   ClassHeatmap hm(classifier_, view_, {base, a, b});
-  hm.add(email_flow(overlap, 5000));
+  add_record(hm, email_flow(overlap, 5000), &reg_.trie());
 
   const auto slot_a = static_cast<std::size_t>(
       (overlap.seconds() - a.begin.seconds()) / net::kSecondsPerHour);
@@ -229,7 +239,7 @@ TEST_F(FlatClassifierTest, OverlappingWeeksResolveToFirstInVectorOrder) {
 
   // Same flow, weeks listed in the other order: now `b` wins.
   ClassHeatmap swapped(classifier_, view_, {base, b, a});
-  swapped.add(email_flow(overlap, 5000));
+  add_record(swapped, email_flow(overlap, 5000), &reg_.trie());
   EXPECT_EQ(swapped.diff_percent(AppClass::kEmail, 1)[slot_b], 200.0);
   EXPECT_EQ(swapped.diff_percent(AppClass::kEmail, 2)[slot_a], 0.0);
 }
@@ -239,10 +249,13 @@ TEST_F(FlatClassifierTest, WeekBoundariesAreBeginInclusiveEndExclusive) {
   const TimeRange stage = TimeRange::week_of(Date(2020, 3, 19));
   ClassHeatmap hm(classifier_, view_, {base, stage});
 
-  hm.add(email_flow(stage.begin, 100));            // first second: in, slot 0
-  hm.add(email_flow(stage.end, 100));              // end: exclusive, dropped
-  hm.add(email_flow(stage.end.plus(-1), 100));     // last second: in, slot 167
-  hm.add(email_flow(base.begin.plus(-1), 100));    // before everything: dropped
+  const auto add = [&](const flow::FlowRecord& r) {
+    add_record(hm, r, &reg_.trie());
+  };
+  add(email_flow(stage.begin, 100));          // first second: in, slot 0
+  add(email_flow(stage.end, 100));            // end: exclusive, dropped
+  add(email_flow(stage.end.plus(-1), 100));   // last second: in, slot 167
+  add(email_flow(base.begin.plus(-1), 100));  // before everything: dropped
 
   const auto diffs = hm.diff_percent(AppClass::kEmail, 1);
   EXPECT_EQ(diffs[0], 200.0);    // slot 0 deposited
@@ -261,7 +274,7 @@ TEST_F(FlatClassifierTest, BaseWeekListedChronologicallyLastStillWorks) {
   ClassHeatmap hm(classifier_, view_, {base, earlier});
 
   const Timestamp in_earlier = Timestamp::from_date(Date(2020, 2, 21), 12);
-  hm.add(email_flow(in_earlier, 4000));
+  add_record(hm, email_flow(in_earlier, 4000), &reg_.trie());
   const auto slot = static_cast<std::size_t>(
       (in_earlier.seconds() - earlier.begin.seconds()) / net::kSecondsPerHour);
   EXPECT_EQ(hm.diff_percent(AppClass::kEmail, 1)[slot], 200.0);

@@ -4,8 +4,9 @@
 // AppClassifier, sharded-vs-single-threaded routing equality, the mixed
 // campus+VPN scenario against hand-computed ground truth, concurrent
 // route_batch (the MonitorSetThreads suite is in the TSan CI job), and the
-// fused routing plan's differential against per-object match_reference
-// over a 1M-flow mixed stream.
+// fused routing plan's differential against the per-object tree-walking
+// oracle (oracle::match_reference, tests/oracle/) over a 1M-flow mixed
+// stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include "flow/ipfix.hpp"
 #include "flow/pipeline.hpp"
 #include "obs/metrics.hpp"
+#include "oracle/filter_oracle.hpp"
 #include "runtime/sharded_daemon.hpp"
 #include "synth/as_registry.hpp"
 #include "synth/synthesizer.hpp"
@@ -248,13 +250,13 @@ TEST(MonitorTable1, DslObjectsReproduceClassifierExactly) {
   const analysis::AppClassifier classifier = analysis::AppClassifier::table1();
   const analysis::AsView as_view(registry.trie());
   std::map<synth::AppClass, Totals> expected;
-  const auto classes = classifier.classify_batch(records, as_view);
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    if (!classes[i]) continue;
-    Totals& t = expected[*classes[i]];
+  for (const FlowRecord& r : records) {
+    const auto cls = classifier.classify(r, as_view);
+    if (!cls) continue;
+    Totals& t = expected[*cls];
     ++t.flows;
-    t.bytes += records[i].bytes;
-    t.packets += records[i].packets;
+    t.bytes += r.bytes;
+    t.packets += r.packets;
   }
   ASSERT_GE(expected.size(), 5u) << "slice should populate several classes";
 
@@ -282,7 +284,7 @@ TEST(MonitorTable1, DslObjectsReproduceClassifierExactly) {
   std::uint64_t dsl_flows = 0;
   for (const auto& obj : monitors) dsl_flows += obj->flows();
   std::uint64_t classified = 0;
-  for (const auto& cls : classes) classified += cls ? 1 : 0;
+  for (const auto& [cls, t] : expected) classified += t.flows;
   EXPECT_EQ(dsl_flows, classified);
 }
 
@@ -456,7 +458,7 @@ TEST(MonitorSetThreads, ConcurrentRouteBatchSumsExactly) {
   concurrent.unbind_metrics();
 }
 
-// --- fused plan: differential against per-object match_reference ---------
+// --- fused plan: differential against the per-object oracle ---------------
 
 /// AS numbers for the many-AS-lists set, drawn by the mixed stream too.
 constexpr std::uint32_t kListAsBase = 65100;
@@ -553,7 +555,7 @@ const std::vector<FlowRecord>& mixed_stream() {
 
 /// Route the mixed stream through `set` in batches of varied size (single
 /// records, datagram-sized, and across the 512-record chunk edge). Every
-/// object's hook must see a 0/1 span equal to its match_reference on
+/// object's hook must see a 0/1 span equal to its oracle verdicts on
 /// every batch, and every object's totals must equal the reference's.
 void expect_matches_reference(filter::MonitorSet& set) {
   const std::vector<FlowRecord>& records = mixed_stream();
@@ -573,7 +575,7 @@ void expect_matches_reference(filter::MonitorSet& set) {
         return;
       }
       for (std::size_t i = 0; i < batch.size(); ++i) {
-        const bool ref = f->match_reference(batch[i]);
+        const bool ref = oracle::match_reference(*f, batch[i]);
         if (hits[i] != (ref ? 1 : 0)) ++wrong_hits[k];
         if (!ref) continue;
         ++want[k].flows;

@@ -51,7 +51,7 @@ TEST(FilterParser, AcceptCorpusCompiles) {
   for (const char* source : corpus) {
     EXPECT_NO_THROW({
       const CompiledFilter f = CompiledFilter::compile(source);
-      EXPECT_GT(f.step_count(), 0u) << source;
+      EXPECT_GT(f.node_count(), 0u) << source;
     }) << source;
   }
 }

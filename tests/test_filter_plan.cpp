@@ -1,7 +1,8 @@
 // Differential fuzz of the compiled filter plan: 1M+ biased-random flow
 // records -- raw and round-tripped through all three export codecs -- are
-// matched by CompiledFilter::match_batch and by the tree-walking
-// match_reference; any disagreement is a compiler bug (DESIGN.md §12).
+// matched by CompiledFilter::match_batch, by its single-record match(), and
+// by the tree-walking oracle::match_reference (tests/oracle/); any
+// disagreement is a compiler bug (DESIGN.md §12).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include "flow/flow_record.hpp"
 #include "flow/pipeline.hpp"
 #include "net/prefix_trie.hpp"
+#include "oracle/filter_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace lockdown::filter {
@@ -122,8 +124,8 @@ const char* const kFilters[] = {
   return r;
 }
 
-/// Match `records` with every filter through both paths (ASSERT_* needs a
-/// void function).
+/// Match `records` with every filter through the batch plan, the
+/// single-record plan and the oracle (ASSERT_* needs a void function).
 void differential_check(const std::vector<CompiledFilter>& filters,
                         std::span<const FlowRecord> records, const char* stream,
                         std::vector<std::size_t>& accept_counts) {
@@ -131,10 +133,13 @@ void differential_check(const std::vector<CompiledFilter>& filters,
   for (std::size_t f = 0; f < filters.size(); ++f) {
     filters[f].match_batch(records, out);
     for (std::size_t i = 0; i < records.size(); ++i) {
-      const bool expected = filters[f].match_reference(records[i]);
+      const bool expected = oracle::match_reference(filters[f], records[i]);
       ASSERT_EQ(out[i] != 0, expected)
           << stream << " record " << i << " disagrees on filter: "
           << filters[f].source();
+      ASSERT_EQ(filters[f].match(records[i]), expected)
+          << stream << " record " << i << " (single-record match) disagrees "
+          << "on filter: " << filters[f].source();
       accept_counts[f] += out[i];
     }
   }
@@ -204,6 +209,7 @@ TEST(FilterPlan, SingleMatchAgreesWithBatch) {
   const auto batch = f.match_batch(records);
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(f.match(records[i]), batch[i] != 0) << i;
+    EXPECT_EQ(f.match(records[i]), oracle::match_reference(f, records[i])) << i;
   }
 }
 
@@ -218,11 +224,14 @@ TEST(FilterPlan, ServicePortSemantics) {
   r.src_port = 40000;
   r.dst_port = 443;
   EXPECT_TRUE(f.match(r));
+  EXPECT_TRUE(oracle::match_reference(f, r));
   std::swap(r.src_port, r.dst_port);
   EXPECT_TRUE(f.match(r));
+  EXPECT_TRUE(oracle::match_reference(f, r));
   r.src_port = 80;  // service port is now 80, not 443
   r.dst_port = 443;
   EXPECT_FALSE(f.match(r));
+  EXPECT_FALSE(oracle::match_reference(f, r));
 }
 
 TEST(FilterPlan, TcpFlagsImplyTcp) {
@@ -233,10 +242,10 @@ TEST(FilterPlan, TcpFlagsImplyTcp) {
   r.protocol = IpProtocol::kUdp;
   r.tcp_flags = 0x02;  // nonsense on UDP; the term must not match
   EXPECT_FALSE(f.match(r));
-  EXPECT_FALSE(f.match_reference(r));
+  EXPECT_FALSE(oracle::match_reference(f, r));
   r.protocol = IpProtocol::kTcp;
   EXPECT_TRUE(f.match(r));
-  EXPECT_TRUE(f.match_reference(r));
+  EXPECT_TRUE(oracle::match_reference(f, r));
 }
 
 TEST(FilterPlan, AsnFallsBackToTrieOnlyWhenUnannotated) {
@@ -247,12 +256,15 @@ TEST(FilterPlan, AsnFallsBackToTrieOnlyWhenUnannotated) {
   r.src_addr = Ipv4Address(0x0a010203);  // 10.1.2.3, trie says 64700
   r.dst_addr = Ipv4Address(0xcb007101);
   EXPECT_TRUE(f.match(r));
+  EXPECT_TRUE(oracle::match_reference(f, r));
   r.src_as = Asn(65001);  // annotation wins over the trie
   EXPECT_FALSE(f.match(r));
+  EXPECT_FALSE(oracle::match_reference(f, r));
   // Without a trie, unannotated records resolve to AS 0.
   const CompiledFilter bare = CompiledFilter::compile("src asn 64700");
   r.src_as = Asn(0);
   EXPECT_FALSE(bare.match(r));
+  EXPECT_FALSE(oracle::match_reference(bare, r));
 }
 
 }  // namespace

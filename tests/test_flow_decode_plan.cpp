@@ -1,5 +1,6 @@
 // Compiled decode plans (flow/decode_plan.hpp): differential tests pinning
-// the plan op loop to decode_field() semantics on standard and hostile
+// the plan op loop to the per-field reference decode
+// (oracle::decode_field, tests/oracle/) on standard and hostile
 // templates, plus the cache-lifecycle contract (refresh recompiles,
 // withdrawal erases plan and template together).
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "flow/netflow_v9.hpp"
 #include "flow/template_fields.hpp"
 #include "flow/wire.hpp"
+#include "oracle/decode_oracle.hpp"
 
 namespace lockdown::flow {
 namespace {
@@ -21,14 +23,14 @@ namespace {
 using net::Date;
 using net::Timestamp;
 
-/// The interpreted reference: decode_field() over the template, exactly as
-/// the decoders ran before plans existed.
+/// The interpreted reference: oracle::decode_field() over the template,
+/// exactly as the decoders ran before plans existed.
 FlowRecord decode_interpreted(const TemplateRecord& tmpl,
                               std::span<const std::uint8_t> raw,
                               const TimeContext& tc) {
   WireReader rd(raw);
   FlowRecord r;
-  for (const FieldSpec& f : tmpl.fields) decode_field(rd, f, r, tc);
+  for (const FieldSpec& f : tmpl.fields) oracle::decode_field(rd, f, r, tc);
   return r;
 }
 
@@ -138,7 +140,7 @@ TEST(DecodePlan, DuplicateFieldsOverwriteInTemplateOrder) {
 }
 
 TEST(DecodePlan, OddWidthNumericFieldsAssignZero) {
-  // decode_field's read_uint() skips widths outside {1,2,4,8} and returns
+  // oracle::decode_field's read_uint() skips widths outside {1,2,4,8} and returns
   // 0 -- which it still assigns. The plan must do the same, not leave the
   // destination untouched.
   TemplateRecord tmpl;

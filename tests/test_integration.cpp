@@ -7,12 +7,12 @@
 #include "analysis/app_filter.hpp"
 #include "analysis/edu.hpp"
 #include "analysis/hypergiants.hpp"
+#include "analysis/scan.hpp"
 #include "analysis/volume.hpp"
 #include "analysis/vpn.hpp"
 #include "dns/corpus.hpp"
 #include "dns/vpn_finder.hpp"
-#include "flow/pipeline.hpp"
-#include "synth/synthesizer.hpp"
+#include "filter/plan.hpp"
 #include "synth/vantage.hpp"
 
 namespace lockdown {
@@ -23,23 +23,28 @@ using net::Date;
 using net::TimeRange;
 using net::Timestamp;
 
-/// Synthesize a range at a vantage point and deliver every record through
-/// the wire pipeline into `sink`.
-template <typename Sink>
-void run_pipeline(const synth::VantagePoint& vp, const synth::AsRegistry& reg,
-                  TimeRange range, double connections_per_hour, Sink&& sink,
-                  const flow::Anonymizer* anonymizer = nullptr) {
-  const synth::FlowSynthesizer synth(vp.model, reg,
-                                     {.connections_per_hour = connections_per_hour});
-  flow::ExportPump pump(vp.protocol, std::forward<Sink>(sink), anonymizer);
-  synth.synthesize(range, pump.as_sink());
-  pump.flush();
-  ASSERT_EQ(pump.stats().malformed_packets, 0u);
-}
-
 class IntegrationTest : public ::testing::Test {
  protected:
   IntegrationTest() : reg_(synth::AsRegistry::create_default()) {}
+
+  /// Synthesize `range` at `vp` through its wire protocol into
+  /// `consumer.add_batch`, one batch per decoded datagram; every datagram
+  /// must decode cleanly.
+  template <typename Consumer>
+  void feed(const synth::VantagePoint& vp, TimeRange range,
+            double connections_per_hour, Consumer& consumer,
+            const flow::Anonymizer* anonymizer = nullptr) {
+    filter::FlowColumns cols;
+    const flow::CollectorStats stats = analysis::synthesize_through_wire(
+        vp, reg_, range, {.connections_per_hour = connections_per_hour},
+        [&](std::span<const flow::FlowRecord> batch) {
+          cols.build(batch, &reg_.trie());
+          consumer.add_batch(batch, cols);
+        },
+        anonymizer);
+    EXPECT_EQ(stats.malformed_packets, 0u);
+  }
+
   synth::AsRegistry reg_;
 };
 
@@ -50,10 +55,10 @@ TEST_F(IntegrationTest, IspGrowthSurvivesWireAndAnonymization) {
 
   analysis::VolumeAggregator base(stats::Bucket::kHour);
   analysis::VolumeAggregator lockdown(stats::Bucket::kHour);
-  run_pipeline(isp, reg_, TimeRange::week_of(Date(2020, 2, 19)), 400,
-               base.sink(), &anon);
-  run_pipeline(isp, reg_, TimeRange::week_of(Date(2020, 3, 18)), 400,
-               lockdown.sink(), &anon);
+  feed(isp, TimeRange::week_of(Date(2020, 2, 19)), 400,
+       base, &anon);
+  feed(isp, TimeRange::week_of(Date(2020, 3, 18)), 400,
+       lockdown, &anon);
 
   const double growth =
       100.0 * (lockdown.series().total() - base.series().total()) /
@@ -68,7 +73,7 @@ TEST_F(IntegrationTest, HypergiantShareAbout75PercentAtIsp) {
   const analysis::AsView view(reg_.trie());
   analysis::HypergiantAnalyzer hg(view,
                                   analysis::AsnSet(synth::AsRegistry::hypergiant_asns()));
-  run_pipeline(isp, reg_, TimeRange::day_of(Date(2020, 2, 19)), 1500, hg.sink());
+  feed(isp, TimeRange::day_of(Date(2020, 2, 19)), 1500, hg);
   // Paper: the 15 hypergiants deliver ~75% of ISP traffic.
   EXPECT_GE(hg.hypergiant_share(), 0.62);
   EXPECT_LE(hg.hypergiant_share(), 0.85);
@@ -81,8 +86,8 @@ TEST_F(IntegrationTest, OtherAsesGrowMoreThanHypergiants) {
   analysis::HypergiantAnalyzer hg(view,
                                   analysis::AsnSet(synth::AsRegistry::hypergiant_asns()));
   // Baseline week 3 (Jan 15-21) and lockdown week 13 (Mar 25-31).
-  run_pipeline(isp, reg_, TimeRange::week_of(Date(2020, 1, 15)), 250, hg.sink());
-  run_pipeline(isp, reg_, TimeRange::week_of(Date(2020, 3, 25)), 250, hg.sink());
+  feed(isp, TimeRange::week_of(Date(2020, 1, 15)), 250, hg);
+  feed(isp, TimeRange::week_of(Date(2020, 3, 25)), 250, hg);
 
   double hg_growth = 0, other_growth = 0;
   for (const auto& ws : hg.weekly_series(3)) {
@@ -112,8 +117,8 @@ TEST_F(IntegrationTest, VpnDomainMethodSeesGrowthPortMethodFlat) {
   const std::vector<TimeRange> weeks = {TimeRange::week_of(Date(2020, 2, 20)),
                                         TimeRange::week_of(Date(2020, 3, 19))};
   analysis::VpnAnalyzer vpn(weeks, candidates.candidate_ips);
-  run_pipeline(ixp, reg_, weeks[0], 800, vpn.sink());
-  run_pipeline(ixp, reg_, weeks[1], 800, vpn.sink());
+  feed(ixp, weeks[0], 800, vpn);
+  feed(ixp, weeks[1], 800, vpn);
 
   const double domain_growth = vpn.working_hours_growth(analysis::VpnMethod::kDomain, 1);
   const double port_growth = vpn.working_hours_growth(analysis::VpnMethod::kPort, 1);
@@ -131,10 +136,10 @@ TEST_F(IntegrationTest, EduInOutRatioCollapses) {
                                  analysis::AsnSet(synth::AsRegistry::hypergiant_asns()));
 
   // Base week (Feb 27 - Mar 4) and online-lecturing week (Apr 16-22).
-  run_pipeline(edu, reg_, TimeRange::week_of(Date(2020, 2, 27)), 600,
-               analyzer.sink());
-  run_pipeline(edu, reg_, TimeRange::week_of(Date(2020, 4, 16)), 600,
-               analyzer.sink());
+  feed(edu, TimeRange::week_of(Date(2020, 2, 27)), 600,
+       analyzer);
+  feed(edu, TimeRange::week_of(Date(2020, 4, 16)), 600,
+       analyzer);
 
   const double base_ratio = analyzer.in_out_ratio(Date(2020, 3, 3));
   const double online_ratio = analyzer.in_out_ratio(Date(2020, 4, 21));
@@ -160,8 +165,8 @@ TEST_F(IntegrationTest, EduConnectionGrowthOrdering) {
 
   const TimeRange before = TimeRange::week_of(Date(2020, 2, 27));
   const TimeRange after = TimeRange::week_of(Date(2020, 4, 16));
-  run_pipeline(edu, reg_, before, 1200, analyzer.sink());
-  run_pipeline(edu, reg_, after, 1200, analyzer.sink());
+  feed(edu, before, 1200, analyzer);
+  feed(edu, after, 1200, analyzer);
 
   using analysis::Direction;
   using analysis::EduClass;
@@ -206,7 +211,7 @@ TEST_F(IntegrationTest, UsAntiPatternEmailUpMessagingDown) {
                                         TimeRange::week_of(Date(2020, 3, 12)),
                                         TimeRange::week_of(Date(2020, 4, 23))};
   analysis::ClassHeatmap heatmap(classifier, view, weeks);
-  for (const auto& w : weeks) run_pipeline(us, reg_, w, 700, heatmap.sink());
+  for (const auto& w : weeks) feed(us, w, 700, heatmap);
 
   using synth::AppClass;
   const double email_s2 = heatmap.working_hours_growth(AppClass::kEmail, 2);
@@ -227,8 +232,8 @@ TEST_F(IntegrationTest, AppClassHeatmapDirections) {
   const std::vector<TimeRange> weeks = {TimeRange::week_of(Date(2020, 2, 20)),
                                         TimeRange::week_of(Date(2020, 3, 19))};
   analysis::ClassHeatmap heatmap(classifier, view, weeks);
-  run_pipeline(ixp, reg_, weeks[0], 700, heatmap.sink());
-  run_pipeline(ixp, reg_, weeks[1], 700, heatmap.sink());
+  feed(ixp, weeks[0], 700, heatmap);
+  feed(ixp, weeks[1], 700, heatmap);
 
   using synth::AppClass;
   // Web conferencing: dramatic growth during business hours (paper: >200%,

@@ -2,7 +2,7 @@
 // delta-ring reconstruction across wrap, the differential guarantee that
 // /history reproduces an independently scraped /metrics sequence, series
 // retirement, window trimming, CSV shape against a golden, the on-disk
-// journal, and the owned-thread sampling mode. The suite name is part of
+// journal and its failure counter, and the owned-thread sampling mode. The suite name is part of
 // the ThreadSanitizer CI filter -- keep it `MetricsRecorder`.
 #include <gtest/gtest.h>
 
@@ -288,6 +288,34 @@ TEST(MetricsRecorder, JournalRotatesOnDisk) {
   // 5 samples at 2 per file: at least two rotated journals hit the disk.
   EXPECT_GE(journals, 2u);
   std::filesystem::remove_all(dir);
+}
+
+TEST(MetricsRecorder, JournalWriteErrorsAreCountedAndSamplingContinues) {
+  const auto missing = std::filesystem::temp_directory_path() /
+                       ("recorder_missing_" + std::to_string(::getpid())) /
+                       "no_such_dir";
+  ASSERT_FALSE(std::filesystem::exists(missing));
+  Registry registry;
+  Counter& c = registry.counter("journal_total", {}, "help");
+  RecorderConfig cfg = manual_config();
+  cfg.journal_path = (missing / "hist.csv").string();
+  MetricsRecorder recorder(registry, cfg);
+  const Counter& errors = registry.counter("recorder_journal_write_errors_total");
+  std::uint64_t last_errors = 0;
+  for (int i = 1; i <= 3; ++i) {
+    c.add(1);
+    recorder.sample();
+    EXPECT_EQ(recorder.samples(), static_cast<std::uint64_t>(i));
+    EXPECT_GT(errors.value(), last_errors) << "sample " << i;
+    last_errors = errors.value();
+  }
+  // The ring kept recording while the journal failed.
+  const auto all = recorder.query("journal_total", 0);
+  const HistorySeries* s = find_series(all, "journal_total");
+  ASSERT_NE(s, nullptr);
+  ASSERT_EQ(s->points.size(), 3u);
+  EXPECT_EQ(s->points.back().second, 3.0);
+  EXPECT_FALSE(std::filesystem::exists(missing));
 }
 
 TEST(MetricsRecorder, OwnedThreadSamplesOnItsOwn) {

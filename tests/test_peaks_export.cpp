@@ -6,6 +6,7 @@
 
 #include "analysis/export.hpp"
 #include "analysis/peaks.hpp"
+#include "analysis/scan.hpp"
 #include "analysis/volume.hpp"
 #include "synth/synthesizer.hpp"
 #include "synth/vantage.hpp"
@@ -118,7 +119,7 @@ TEST(Export, HeatmapTableMasksEarlyMorning) {
   r.protocol = flow::IpProtocol::kTcp;
   r.bytes = 100;
   r.first = weeks[0].begin.plus(12 * 3600);
-  heatmap.add(r);
+  add_record(heatmap, r, &reg.trie());
 
   const auto table = heatmap_table(heatmap, AppClass::kEmail, 1);
   EXPECT_EQ(table.rows(), 168u);
