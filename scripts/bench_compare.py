@@ -60,6 +60,13 @@ PAIRS = [
      "BM_EncodeBatchV9", 3.5, "encode plan (NetFlow v9)"),
     ("BENCH_bench_flow_encode_plan.json", "BM_EncodeReferenceIpfix",
      "BM_EncodeBatchIpfix", 3.5, "encode plan (IPFIX mixed)"),
+    # Trace record codec (DESIGN.md section 9): spooling a 4096-record
+    # IXP-CE slice through a fresh WireWriter per record vs the fixed-offset
+    # stores of flow::TraceWriter (~11x in the baselining run; the traced
+    # wire-lane spool fell from 337 to 29 ns/record). The floor guards that
+    # the writer never falls back to per-record allocation.
+    ("BENCH_bench_flow_trace.json", "BM_TraceWriteReference",
+     "BM_TraceWriteFixed", 4.0, "trace write"),
     # Tracer overhead gate: a disabled TRACE_SPAN must stay dramatically
     # cheaper than an enabled one (~32x on the baseline machine; enabled is
     # dominated by two steady_clock reads). If this ratio collapses, the

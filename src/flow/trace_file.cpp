@@ -1,80 +1,134 @@
 #include "flow/trace_file.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 
-#include "flow/wire.hpp"
 #include "util/file.hpp"
 
 namespace lockdown::flow {
 
 namespace {
 
-// Record tags.
-constexpr std::uint8_t kTagV4 = 4;
-constexpr std::uint8_t kTagV6 = 6;
-
-void write_record(WireWriter& w, const FlowRecord& r) {
-  const bool v6 = r.src_addr.is_v6() || r.dst_addr.is_v6();
-  w.u8(v6 ? kTagV6 : kTagV4);
-  if (v6) {
-    // Mixed-family records are stored as v6 (v4 endpoints zero-extended --
-    // they do not occur in practice; the synthesizer never mixes families).
-    auto put = [&](const net::IpAddress& a) {
-      if (a.is_v6()) {
-        w.bytes(a.v6().bytes());
-      } else {
-        w.zeros(12);
-        w.u32(a.v4().value());
-      }
-    };
-    put(r.src_addr);
-    put(r.dst_addr);
+/// Big-endian store/load of one unsigned field at a fixed offset: one
+/// unaligned move plus a byte swap on little-endian hosts.
+template <typename T>
+[[nodiscard]] inline T big_endian(T v) noexcept {
+  static_assert(sizeof(T) == 2 || sizeof(T) == 4 || sizeof(T) == 8);
+  if constexpr (std::endian::native == std::endian::big) {
+    return v;
+  } else if constexpr (sizeof(T) == 2) {
+    return __builtin_bswap16(v);
+  } else if constexpr (sizeof(T) == 4) {
+    return __builtin_bswap32(v);
   } else {
-    w.u32(r.src_addr.v4().value());
-    w.u32(r.dst_addr.v4().value());
+    return __builtin_bswap64(v);
   }
-  w.u16(r.src_port);
-  w.u16(r.dst_port);
-  w.u8(static_cast<std::uint8_t>(r.protocol));
-  w.u8(r.tcp_flags);
-  w.u64(r.bytes);
-  w.u64(r.packets);
-  w.u64(static_cast<std::uint64_t>(r.first.seconds()));
-  w.u64(static_cast<std::uint64_t>(r.last.seconds()));
-  w.u16(r.input_if);
-  w.u16(r.output_if);
-  w.u32(r.src_as.value());
-  w.u32(r.dst_as.value());
 }
 
-bool read_record(WireReader& rd, FlowRecord& r) {
-  const std::uint8_t tag = rd.u8();
-  if (rd.failed()) return false;
-  if (tag == kTagV6) {
-    net::Ipv6Address::Bytes src{}, dst{};
-    if (!rd.read_bytes(src) || !rd.read_bytes(dst)) return false;
+template <typename T>
+inline void put(std::uint8_t* p, T v) noexcept {
+  v = big_endian(v);
+  std::memcpy(p, &v, sizeof(T));
+}
+
+template <typename T>
+[[nodiscard]] inline T get(const std::uint8_t* p) noexcept {
+  T v;
+  std::memcpy(&v, p, sizeof(T));
+  return big_endian(v);
+}
+
+/// Record size including the tag byte; 0 for an unknown tag.
+[[nodiscard]] inline std::size_t record_bytes(std::uint8_t tag) noexcept {
+  if (tag == kTraceTagV4) return 1 + kTraceV4Bytes;
+  if (tag == kTraceTagV6) return 1 + kTraceV6Bytes;
+  return 0;
+}
+
+[[nodiscard]] inline bool stored_as_v6(const FlowRecord& r) noexcept {
+  return r.src_addr.is_v6() || r.dst_addr.is_v6();
+}
+
+[[nodiscard]] inline std::size_t stored_bytes(const FlowRecord& r) noexcept {
+  return record_bytes(stored_as_v6(r) ? kTraceTagV6 : kTraceTagV4);
+}
+
+/// The fields after the addresses: the same 50 bytes in both layouts.
+inline void put_tail(std::uint8_t* p, const FlowRecord& r) noexcept {
+  put<std::uint16_t>(p + 0, r.src_port);
+  put<std::uint16_t>(p + 2, r.dst_port);
+  p[4] = static_cast<std::uint8_t>(r.protocol);
+  p[5] = r.tcp_flags;
+  put<std::uint64_t>(p + 6, r.bytes);
+  put<std::uint64_t>(p + 14, r.packets);
+  put<std::uint64_t>(p + 22, static_cast<std::uint64_t>(r.first.seconds()));
+  put<std::uint64_t>(p + 30, static_cast<std::uint64_t>(r.last.seconds()));
+  put<std::uint16_t>(p + 38, r.input_if);
+  put<std::uint16_t>(p + 40, r.output_if);
+  put<std::uint32_t>(p + 42, r.src_as.value());
+  put<std::uint32_t>(p + 46, r.dst_as.value());
+}
+
+inline void get_tail(const std::uint8_t* p, FlowRecord& r) noexcept {
+  r.src_port = get<std::uint16_t>(p + 0);
+  r.dst_port = get<std::uint16_t>(p + 2);
+  r.protocol = static_cast<IpProtocol>(p[4]);
+  r.tcp_flags = p[5];
+  r.bytes = get<std::uint64_t>(p + 6);
+  r.packets = get<std::uint64_t>(p + 14);
+  r.first = net::Timestamp(static_cast<std::int64_t>(get<std::uint64_t>(p + 22)));
+  r.last = net::Timestamp(static_cast<std::int64_t>(get<std::uint64_t>(p + 30)));
+  r.input_if = get<std::uint16_t>(p + 38);
+  r.output_if = get<std::uint16_t>(p + 40);
+  r.src_as = net::Asn(get<std::uint32_t>(p + 42));
+  r.dst_as = net::Asn(get<std::uint32_t>(p + 46));
+}
+
+/// Store one record (tag included) into the stored_bytes() bytes at `p`.
+/// Every byte is written, so `p` need not be zeroed.
+inline void put_record(std::uint8_t* p, const FlowRecord& r) noexcept {
+  if (stored_as_v6(r)) {
+    // Mixed-family records are stored as v6 (v4 endpoints zero-extended --
+    // they do not occur in practice; the synthesizer never mixes families).
+    p[0] = kTraceTagV6;
+    auto put_addr = [](std::uint8_t* at, const net::IpAddress& a) {
+      if (a.is_v6()) {
+        std::copy(a.v6().bytes().begin(), a.v6().bytes().end(), at);
+      } else {
+        put<std::uint64_t>(at, 0);
+        put<std::uint32_t>(at + 8, 0);
+        put<std::uint32_t>(at + 12, a.v4().value());
+      }
+    };
+    put_addr(p + 1, r.src_addr);
+    put_addr(p + 17, r.dst_addr);
+    put_tail(p + 33, r);
+  } else {
+    p[0] = kTraceTagV4;
+    put<std::uint32_t>(p + 1, r.src_addr.v4().value());
+    put<std::uint32_t>(p + 5, r.dst_addr.v4().value());
+    put_tail(p + 9, r);
+  }
+}
+
+/// Load one record whose tag and record_bytes() were already checked.
+inline void get_record(const std::uint8_t* p, FlowRecord& r) noexcept {
+  if (p[0] == kTraceTagV6) {
+    net::Ipv6Address::Bytes src;
+    net::Ipv6Address::Bytes dst;
+    std::copy(p + 1, p + 17, src.begin());
+    std::copy(p + 17, p + 33, dst.begin());
     r.src_addr = net::Ipv6Address(src);
     r.dst_addr = net::Ipv6Address(dst);
-  } else if (tag == kTagV4) {
-    r.src_addr = net::Ipv4Address(rd.u32());
-    r.dst_addr = net::Ipv4Address(rd.u32());
+    get_tail(p + 33, r);
   } else {
-    return false;  // unknown tag: treat as corruption
+    r.src_addr = net::Ipv4Address(get<std::uint32_t>(p + 1));
+    r.dst_addr = net::Ipv4Address(get<std::uint32_t>(p + 5));
+    get_tail(p + 9, r);
   }
-  r.src_port = rd.u16();
-  r.dst_port = rd.u16();
-  r.protocol = static_cast<IpProtocol>(rd.u8());
-  r.tcp_flags = rd.u8();
-  r.bytes = rd.u64();
-  r.packets = rd.u64();
-  r.first = net::Timestamp(static_cast<std::int64_t>(rd.u64()));
-  r.last = net::Timestamp(static_cast<std::int64_t>(rd.u64()));
-  r.input_if = rd.u16();
-  r.output_if = rd.u16();
-  r.src_as = net::Asn(rd.u32());
-  r.dst_as = net::Asn(rd.u32());
-  return rd.ok();
 }
 
 }  // namespace
@@ -83,34 +137,41 @@ TraceWriter::TraceWriter() { start(); }
 
 void TraceWriter::start() {
   buf_.clear();
+  buf_.resize(kTraceHeaderBytes);
+  put<std::uint32_t>(buf_.data(), kTraceMagic);
+  put<std::uint16_t>(buf_.data() + 4, kTraceVersion);
+  // Flags (offset 6) and the record-count hint (offset 8, patched in
+  // finish()) stay zero.
   count_ = 0;
-  WireWriter w;
-  w.u32(kTraceMagic);
-  w.u16(kTraceVersion);
-  w.u16(0);  // flags
-  w.u32(0);  // record-count hint, patched in finish()
-  buf_ = w.take();
 }
 
 void TraceWriter::append(const FlowRecord& record) {
-  WireWriter w;
-  write_record(w, record);
-  const auto& bytes = w.data();
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+  // Stored on the stack, then appended with a length the compiler knows:
+  // growing buf_ by resize() instead would zero-fill every record first.
+  std::uint8_t bytes[1 + kTraceV6Bytes];
+  put_record(bytes, record);
+  if (bytes[0] == kTraceTagV6) {
+    buf_.insert(buf_.end(), bytes, bytes + 1 + kTraceV6Bytes);
+  } else {
+    buf_.insert(buf_.end(), bytes, bytes + 1 + kTraceV4Bytes);
+  }
   ++count_;
 }
 
 void TraceWriter::append(std::span<const FlowRecord> records) {
-  for (const FlowRecord& r : records) append(r);
+  std::size_t bytes = 0;
+  for (const FlowRecord& r : records) bytes += stored_bytes(r);
+  std::size_t at = buf_.size();
+  buf_.resize(at + bytes);
+  for (const FlowRecord& r : records) {
+    put_record(buf_.data() + at, r);
+    at += stored_bytes(r);
+  }
+  count_ += records.size();
 }
 
 std::vector<std::uint8_t> TraceWriter::finish() {
-  // Patch the record-count hint (offset 8, big-endian u32).
-  const auto n = static_cast<std::uint32_t>(count_);
-  buf_[8] = static_cast<std::uint8_t>(n >> 24);
-  buf_[9] = static_cast<std::uint8_t>(n >> 16);
-  buf_[10] = static_cast<std::uint8_t>(n >> 8);
-  buf_[11] = static_cast<std::uint8_t>(n);
+  put<std::uint32_t>(buf_.data() + 8, static_cast<std::uint32_t>(count_));
   std::vector<std::uint8_t> out = std::move(buf_);
   start();
   return out;
@@ -122,23 +183,31 @@ std::string TraceWriter::write_file(const std::string& path) {
 }
 
 std::optional<TraceReadResult> read_trace(std::span<const std::uint8_t> image) {
-  WireReader rd(image);
-  if (rd.u32() != kTraceMagic) return std::nullopt;
-  if (rd.u16() != kTraceVersion) return std::nullopt;
-  (void)rd.u16();  // flags
-  const std::uint32_t hint = rd.u32();
-  if (rd.failed()) return std::nullopt;
+  if (image.size() < kTraceHeaderBytes) return std::nullopt;
+  const std::uint8_t* const base = image.data();
+  if (get<std::uint32_t>(base) != kTraceMagic) return std::nullopt;
+  if (get<std::uint16_t>(base + 4) != kTraceVersion) return std::nullopt;
+  // Flags (offset 6) are reserved.
+  const std::uint32_t hint = get<std::uint32_t>(base + 8);
 
+  // Size the result once from the hint, but never beyond what the image
+  // can hold (every record is at least 59 bytes).
   TraceReadResult out;
-  out.records.reserve(hint);
-  while (rd.remaining() > 0) {
-    FlowRecord r;
-    if (!read_record(rd, r)) {
+  const std::size_t end = image.size();
+  out.records.resize(std::min<std::size_t>(
+      hint, (end - kTraceHeaderBytes) / (1 + kTraceV4Bytes)));
+  std::size_t n = 0;
+  for (std::size_t pos = kTraceHeaderBytes; pos < end;) {
+    const std::size_t len = record_bytes(base[pos]);
+    if (len == 0 || end - pos < len) {  // unknown tag or cut-off record
       out.truncated = true;
       break;
     }
-    out.records.push_back(r);
+    if (n == out.records.size()) out.records.emplace_back();
+    get_record(base + pos, out.records[n++]);
+    pos += len;
   }
+  out.records.resize(n);
   return out;
 }
 

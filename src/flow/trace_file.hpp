@@ -3,14 +3,17 @@
 // disk and the analysis jobs read them back later. The format is
 // self-describing and versioned:
 //
-//   file   := header block*
+//   file   := header record*
 //   header := magic "LDFT" u16 version u16 flags u32 record_count_hint
-//   block  := u32 record_count, record_count * record
-//   record := fixed 58-byte v4 layout or 82-byte v6 layout, tagged
+//   record := u8 tag, then the tag's fixed body:
+//             tag 4: 58-byte v4 layout, tag 6: 82-byte v6 layout
 //
-// Records are written big-endian via the same WireWriter/WireReader used
-// by the codecs; readers are bounds-checked and fail soft on truncation
-// (everything decoded before the damage is returned).
+// (The layout sizes exclude the tag byte, so a record is 59 or 83 bytes.)
+// Both layouts are compiled into fixed-offset big-endian stores and loads
+// (DESIGN.md section 9): the writer checks its buffer's room once per
+// record and the reader checks bounds once per record. Readers fail soft
+// on truncation and on unknown tags (everything decoded before the damage
+// is returned).
 #pragma once
 
 #include <cstdint>
@@ -25,6 +28,13 @@ namespace lockdown::flow {
 
 inline constexpr std::uint32_t kTraceMagic = 0x4c444654;  // "LDFT"
 inline constexpr std::uint16_t kTraceVersion = 1;
+inline constexpr std::size_t kTraceHeaderBytes = 12;
+
+/// Record tags and their body sizes (tag byte excluded).
+inline constexpr std::uint8_t kTraceTagV4 = 4;
+inline constexpr std::uint8_t kTraceTagV6 = 6;
+inline constexpr std::size_t kTraceV4Bytes = 58;
+inline constexpr std::size_t kTraceV6Bytes = 82;
 
 /// Serialize records into an in-memory trace image.
 class TraceWriter {
@@ -56,7 +66,9 @@ struct TraceReadResult {
   bool truncated = false;  ///< input ended mid-record; prefix still returned
 };
 
-/// Parse a trace image; nullopt if the header is not a valid trace.
+/// Parse a trace image; nullopt if the header is not a valid trace. The
+/// header's record-count hint only sizes the result, capped by what the
+/// image can hold, so a hostile hint cannot force a large allocation.
 [[nodiscard]] std::optional<TraceReadResult> read_trace(
     std::span<const std::uint8_t> image);
 

@@ -4,6 +4,7 @@
 
 #include <sys/socket.h>  // SO_RXQ_OVFL availability for the kernel-drop test
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -83,6 +84,33 @@ TEST(TraceFile, TruncationReturnsPrefix) {
   ASSERT_TRUE(result);
   EXPECT_TRUE(result->truncated);
   EXPECT_EQ(result->records.size(), 9u);
+}
+
+TEST(TraceFile, HostileCountHintIsCappedByImageSize) {
+  // Header only: magic, version 1, flags 0, hint 0xFFFFFFFF.
+  const std::vector<std::uint8_t> header = {'L', 'D', 'F', 'T', 0, 1,
+                                            0,   0,   0xff, 0xff, 0xff, 0xff};
+  const auto empty = read_trace(header);
+  ASSERT_TRUE(empty);
+  EXPECT_FALSE(empty->truncated);
+  EXPECT_TRUE(empty->records.empty());
+
+  // A hint larger (or smaller) than the records present changes nothing:
+  // exactly the records of the image come back.
+  TraceWriter writer;
+  std::vector<FlowRecord> records;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    records.push_back(request_flow(i, Timestamp(100)));
+    writer.append(records.back());
+  }
+  auto image = writer.finish();
+  for (const std::uint8_t hint : {0xff, 0x00}) {
+    std::fill(image.begin() + 8, image.begin() + 12, hint);
+    const auto result = read_trace(image);
+    ASSERT_TRUE(result);
+    EXPECT_FALSE(result->truncated);
+    EXPECT_EQ(result->records, records);
+  }
 }
 
 TEST(TraceFile, DiskRoundTrip) {
