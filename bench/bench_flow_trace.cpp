@@ -43,11 +43,13 @@ constexpr std::size_t kRecords = 4096;
   return records;
 }
 
-/// Finished images stay alive for a while, as a spool holds slices until
-/// it ships them. Freeing each ~250 KB image at once instead makes glibc
-/// map and unmap it around its 128 KiB mmap threshold on every iteration:
-/// a cost both arms pay, and on a 4-vCPU VM larger than the fixed-offset
-/// codec itself.
+/// Keeps the last 8 finished images alive, so the gated write pair times
+/// the two codecs and not the allocator. This is not the collector's
+/// pattern: `live_collector`'s slice sink writes each image out and frees
+/// it at once, and freeing a ~250 KB image makes glibc map and unmap it
+/// around its 128 KiB mmap threshold on every slice -- on a 4-vCPU VM a
+/// larger cost than the fixed-offset codec itself. BM_TraceWriteFixedFreeEach
+/// keeps that cost visible (CHANGES.md, FOUND on `TraceWriter::finish`).
 class HeldImages {
  public:
   void keep(std::vector<std::uint8_t>&& image) {
@@ -150,6 +152,19 @@ void BM_TraceWriteFixed(benchmark::State& state) {
                           static_cast<std::int64_t>(kRecords));
 }
 BENCHMARK(BM_TraceWriteFixed)->Unit(benchmark::kMicrosecond);
+
+// The collector's pattern: each finished image is freed at once. Not gated.
+void BM_TraceWriteFixedFreeEach(benchmark::State& state) {
+  flow::TraceWriter writer;
+  for (auto _ : state) {
+    const auto image = write_fixed(writer);
+    benchmark::DoNotOptimize(image.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kRecords));
+}
+BENCHMARK(BM_TraceWriteFixedFreeEach)->Unit(benchmark::kMicrosecond);
 
 void BM_TraceReadReference(benchmark::State& state) {
   const auto image = write_reference();

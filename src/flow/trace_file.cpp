@@ -52,10 +52,6 @@ template <typename T>
   return r.src_addr.is_v6() || r.dst_addr.is_v6();
 }
 
-[[nodiscard]] inline std::size_t stored_bytes(const FlowRecord& r) noexcept {
-  return record_bytes(stored_as_v6(r) ? kTraceTagV6 : kTraceTagV4);
-}
-
 /// The fields after the addresses: the same 50 bytes in both layouts.
 inline void put_tail(std::uint8_t* p, const FlowRecord& r) noexcept {
   put<std::uint16_t>(p + 0, r.src_port);
@@ -87,8 +83,8 @@ inline void get_tail(const std::uint8_t* p, FlowRecord& r) noexcept {
   r.dst_as = net::Asn(get<std::uint32_t>(p + 46));
 }
 
-/// Store one record (tag included) into the stored_bytes() bytes at `p`.
-/// Every byte is written, so `p` need not be zeroed.
+/// Store one record, tag included, into the 59 (v4) or 83 (v6) bytes at
+/// `p`. Every byte is written, so `p` need not be zeroed.
 inline void put_record(std::uint8_t* p, const FlowRecord& r) noexcept {
   if (stored_as_v6(r)) {
     // Mixed-family records are stored as v6 (v4 endpoints zero-extended --
@@ -159,15 +155,7 @@ void TraceWriter::append(const FlowRecord& record) {
 }
 
 void TraceWriter::append(std::span<const FlowRecord> records) {
-  std::size_t bytes = 0;
-  for (const FlowRecord& r : records) bytes += stored_bytes(r);
-  std::size_t at = buf_.size();
-  buf_.resize(at + bytes);
-  for (const FlowRecord& r : records) {
-    put_record(buf_.data() + at, r);
-    at += stored_bytes(r);
-  }
-  count_ += records.size();
+  for (const FlowRecord& r : records) append(r);
 }
 
 std::vector<std::uint8_t> TraceWriter::finish() {
