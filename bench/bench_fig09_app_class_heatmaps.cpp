@@ -89,14 +89,16 @@ const ClassifyFixture& classify_fixture() {
   return f;
 }
 
+/// The heatmap's batch path: the batch's FlowColumns (built in the timed
+/// loop, as a scan lane builds them), then the batch classification.
 void BM_Fig9_Classification(benchmark::State& state) {
   const auto& f = classify_fixture();
+  filter::FlowColumns cols;
+  std::vector<std::optional<synth::AppClass>> out(f.records.size());
   for (auto _ : state) {
-    std::size_t classified = 0;
-    for (const auto& r : f.records) {
-      classified += f.classifier.classify(r, f.view).has_value() ? 1 : 0;
-    }
-    benchmark::DoNotOptimize(classified);
+    cols.build(f.records, &registry().trie());
+    f.classifier.classify(f.records, cols, out);
+    benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(f.records.size()));
@@ -117,25 +119,6 @@ void BM_Fig9_ClassificationReference(benchmark::State& state) {
                           static_cast<std::int64_t>(f.records.size()));
 }
 BENCHMARK(BM_Fig9_ClassificationReference)->Unit(benchmark::kMillisecond);
-
-/// The heatmap's batch path: the batch's FlowColumns, then the columnar
-/// classification with its memo cache.
-void BM_Fig9_ClassificationColumns(benchmark::State& state) {
-  const auto& f = classify_fixture();
-  filter::FlowColumns cols;
-  analysis::ClassifyCache cache;
-  std::vector<std::optional<synth::AppClass>> out(f.records.size());
-  for (auto _ : state) {
-    cols.build(f.records, &registry().trie());
-    f.classifier.classify_columns(f.records.size(), cols.service.data(),
-                                  cols.src_as.data(), cols.dst_as.data(), out,
-                                  cache);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(f.records.size()));
-}
-BENCHMARK(BM_Fig9_ClassificationColumns)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace lockdown::bench

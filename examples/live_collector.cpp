@@ -804,7 +804,6 @@ int main(int argc, char** argv) {
   const analysis::AppClassifier classifier = analysis::AppClassifier::table1();
   analysis::VolumeAggregator volume(stats::Bucket::kHour);
   filter::FlowColumns cols;
-  analysis::ClassifyCache classify_cache;
   std::vector<std::optional<analysis::AppClass>> classes;
   std::size_t classified = 0, records_seen = 0;
   for (const auto& path : slice_paths) {
@@ -815,8 +814,7 @@ int main(int argc, char** argv) {
     volume.add_batch(trace->records, cols);
     records_seen += n;
     classes.resize(n);
-    classifier.classify_columns(n, cols.service.data(), cols.src_as.data(),
-                                cols.dst_as.data(), classes, classify_cache);
+    classifier.classify(trace->records, cols, classes);
     for (const auto& cls : classes) {
       if (cls) ++classified;
     }

@@ -8,9 +8,16 @@
 //
 // `--scan-threads N` shards the aggregation scans (sections 2 and 3) over
 // N ScanEngine worker lanes; the report is byte-identical for every N.
+//
+// The report is composed in memory and written to stdout at the end, so a
+// failed write (a full disk, a broken device) is caught with its own errno:
+// the program then exits 1 with `stdout: <reason>` on stderr.
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <sstream>
 
 #include "analysis/app_filter.hpp"
 #include "analysis/pattern.hpp"
@@ -35,13 +42,14 @@ int main(int argc, char** argv) {
   }
   const auto registry = synth::AsRegistry::create_default();
   const synth::ScenarioConfig cfg{.seed = seed, .enterprise_transit = false};
+  std::ostringstream out;
 
-  std::cout << "==========================================================\n"
-            << " THE LOCKDOWN EFFECT -- operator report (seed " << seed << ")\n"
-            << "==========================================================\n\n";
+  out << "==========================================================\n"
+      << " THE LOCKDOWN EFFECT -- operator report (seed " << seed << ")\n"
+      << "==========================================================\n\n";
 
   // --- 1. Volume shifts across all vantage points -------------------------
-  std::cout << "1. Traffic volume, lockdown week (Mar 18-25) vs base (Feb 19-26)\n\n";
+  out << "1. Traffic volume, lockdown week (Mar 18-25) vs base (Feb 19-26)\n\n";
   util::Table volumes({"vantage point", "wire format", "base week", "lockdown week",
                        "growth"});
   for (const auto id :
@@ -66,10 +74,10 @@ int main(int argc, char** argv) {
                      (lockdown >= base ? "+" : "") +
                          util::format_fixed(100 * (lockdown - base) / base, 1) + "%"});
   }
-  std::cout << volumes << "\n";
+  out << volumes << "\n";
 
   // --- 2. The usage-pattern shift -----------------------------------------
-  std::cout << "2. Day-pattern classification at the ISP (Fig 2 method)\n\n";
+  out << "2. Day-pattern classification at the ISP (Fig 2 method)\n\n";
   const auto isp = synth::build_vantage(synth::VantagePointId::kIspCe, registry, cfg);
   analysis::ScanEngine<analysis::VolumeAggregator> hourly_engine(
       scan_threads, [] { return analysis::VolumeAggregator(stats::Bucket::kHour); },
@@ -92,12 +100,12 @@ int main(int argc, char** argv) {
   for (const auto& d : days) {
     weekend_like += d.classified == analysis::DayPattern::kWeekendLike ? 1 : 0;
   }
-  std::cout << "   " << weekend_like << " of " << days.size()
-            << " post-lockdown days look like weekends.\n"
-            << "   => evening peaks are gone; provision for all-day load.\n\n";
+  out << "   " << weekend_like << " of " << days.size()
+      << " post-lockdown days look like weekends.\n"
+      << "   => evening peaks are gone; provision for all-day load.\n\n";
 
   // --- 3. Application classes needing provisioning attention --------------
-  std::cout << "3. Application-class growth at the IXP (working hours, Fig 9)\n\n";
+  out << "3. Application-class growth at the IXP (working hours, Fig 9)\n\n";
   const auto ixp = synth::build_vantage(synth::VantagePointId::kIxpCe, registry, cfg);
   const analysis::AsView view(registry.trie());
   const auto app_classifier = analysis::AppClassifier::table1();
@@ -125,7 +133,14 @@ int main(int argc, char** argv) {
                   (growth >= 0 ? "+" : "") + util::format_fixed(growth, 1) + "%",
                   action});
   }
-  std::cout << apps << "\n";
-  std::cout << "Report complete. See bench/ for the per-figure reproductions.\n";
+  out << apps << "\n";
+  out << "Report complete. See bench/ for the per-figure reproductions.\n";
+
+  const std::string text = out.str();
+  if (std::fwrite(text.data(), 1, text.size(), stdout) != text.size() ||
+      std::fflush(stdout) != 0) {
+    std::cerr << "stdout: " << std::strerror(errno) << "\n";
+    return 1;
+  }
   return 0;
 }

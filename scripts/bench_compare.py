@@ -121,12 +121,11 @@ PAIRS = [
     ("BENCH_bench_analysis_scan.json", "BM_AnalysisScan/1/real_time",
      "BM_AnalysisScan/8/real_time", 0.6,
      "analysis scan (1 vs 8 lanes)"),
-    # Table-1 app classification (DESIGN.md section 9): the flat compiled
-    # tables must beat the interpreted reference scan by the >= 5x
-    # acceptance bar. No baseline file is committed for this binary, so
-    # the pair is floor-only until a same-host baseline exists.
+    # Table-1 app classification (DESIGN.md section 9): the batch entry
+    # over the fused filter plan, FlowColumns built in the timed loop, must
+    # beat the interpreted reference scan by the >= 5x acceptance bar.
     ("BENCH_bench_abl_classifier_bins.json", "BM_AppClassify_Reference",
-     "BM_AppClassify_Flat", 5.0, "app classifier (reference vs flat)"),
+     "BM_AppClassify_Batch", 5.0, "app classifier (reference vs batch)"),
 ]
 
 

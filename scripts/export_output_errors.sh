@@ -1,16 +1,19 @@
 #!/bin/sh
-# Output-error gate for figure_export and trace_tool: an output that
-# cannot be written must fail the run with a non-zero exit, naming the
-# path and the reason.
+# Output-error gate for figure_export, trace_tool and lockdown_report: an
+# output that cannot be written must fail the run with a non-zero exit,
+# naming the path and the reason.
 #   1. figure_export: its first CSV is a symlink to /dev/full, so the
 #      buffered write fails only when the file is flushed and closed.
 #   2. trace_tool synth into /dev/full.
+#   3. lockdown_report with its stdout on /dev/full.
 #
-#   usage: export_output_errors.sh <figure_export> <trace_tool> <work-dir>
+#   usage: export_output_errors.sh <figure_export> <trace_tool>
+#                                  <lockdown_report> <work-dir>
 set -eu
 figure_export=$1
 trace_tool=$2
-work=$3
+lockdown_report=$3
+work=$4
 rm -rf "$work"
 mkdir -p "$work/csv"
 ln -s /dev/full "$work/csv/fig01_isp_ce.csv"
@@ -34,4 +37,14 @@ if ! grep -q '/dev/full: No space left on device' "$work/trace.err"; then
   cat "$work/trace.err" >&2
   exit 1
 fi
-echo "unwritable CSV and trace outputs both reported and fail the run"
+
+if "$lockdown_report" > /dev/full 2> "$work/report.err"; then
+  echo "lockdown_report > /dev/full exited 0" >&2
+  exit 1
+fi
+if ! grep -q '^stdout: No space left on device$' "$work/report.err"; then
+  echo "lockdown_report failed without naming stdout and the reason:" >&2
+  cat "$work/report.err" >&2
+  exit 1
+fi
+echo "unwritable CSV, trace and report outputs are reported and fail the run"

@@ -1,10 +1,13 @@
 #include "analysis/app_filter.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <set>
 #include <stdexcept>
 
+#include "filter/parser.hpp"
 #include "filter/plan.hpp"
+#include "filter/predicates.hpp"
 #include "obs/trace.hpp"
 #include "util/arith.hpp"
 
@@ -25,24 +28,68 @@ namespace {
   return out;
 }
 
-/// -1 for protocols without a port table (GRE/ESP/ICMP).
-[[nodiscard]] constexpr int port_table_of(IpProtocol proto) noexcept {
-  if (proto == IpProtocol::kTcp) return 0;
-  if (proto == IpProtocol::kUdp) return 1;
-  return -1;
+[[nodiscard]] std::string proto_keyword(IpProtocol proto) {
+  switch (proto) {
+    case IpProtocol::kIcmp: return "icmp";
+    case IpProtocol::kTcp: return "tcp";
+    case IpProtocol::kUdp: return "udp";
+    case IpProtocol::kGre: return "gre";
+    case IpProtocol::kEsp: return "esp";
+  }
+  return std::to_string(static_cast<unsigned>(proto));
 }
 
-[[nodiscard]] bool port_matches(const AppFilter& f, PortKey port) {
-  return std::find(f.ports.begin(), f.ports.end(), port) != f.ports.end();
+/// Port criterion of one AppFilter: service-port membership per protocol.
+/// `port N` (no direction) matches FlowRecord::service_port().port, so
+/// `proto P and port N` is exactly PortKey{P, N} equality -- GRE/ESP/ICMP
+/// entries carry service port 0.
+[[nodiscard]] std::string ports_expr(const std::vector<PortKey>& ports) {
+  std::map<IpProtocol, std::string> by_proto;
+  for (const PortKey& k : ports) {
+    std::string& list = by_proto[k.proto];
+    if (!list.empty()) list += ',';
+    list += std::to_string(k.port);
+  }
+  std::string out;
+  for (const auto& [proto, list] : by_proto) {
+    if (!out.empty()) out += " or ";
+    out += "(proto ";
+    out += proto_keyword(proto);
+    out += " and port ";
+    out += list;
+    out += ")";
+  }
+  return by_proto.size() > 1 ? "(" + out + ")" : out;
 }
+
+/// `asn A,B` membership of either endpoint -- AppFilter's AS criterion
+/// (src OR dst in the list) is the DSL's undirected asn term.
+[[nodiscard]] std::string asns_expr(const std::vector<Asn>& asns) {
+  std::string out = "asn ";
+  for (std::size_t i = 0; i < asns.size(); ++i) {
+    if (i > 0) out += ',';
+    out += std::to_string(asns[i].value());
+  }
+  return out;
+}
+
+[[nodiscard]] std::string filter_expr(const AppFilter& f) {
+  const bool has_as = !f.asns.empty();
+  const bool has_port = !f.ports.empty();
+  if (has_as && has_port) {
+    return "(" + asns_expr(f.asns) + " and " + ports_expr(f.ports) + ")";
+  }
+  if (has_as) return "(" + asns_expr(f.asns) + ")";
+  return ports_expr(f.ports);
+}
+
+/// Per-thread plan output masks for the batch entry.
+thread_local std::vector<std::uint64_t> g_masks;
 
 }  // namespace
 
 AppClassifier::AppClassifier(std::vector<AppFilter> filters)
     : filters_(std::move(filters)) {
-  if (filters_.size() >= kNoFilter) {
-    throw std::invalid_argument("AppClassifier: too many filters");
-  }
   std::set<std::string_view> names;
   for (const AppFilter& f : filters_) {
     if (!f.valid()) {
@@ -53,134 +100,46 @@ AppClassifier::AppClassifier(std::vector<AppFilter> filters)
       // makes registry bugs undiagnosable; reject it outright.
       throw std::invalid_argument("AppFilter '" + f.name + "' registered twice");
     }
+    if (runs_.empty() || runs_.back().app_class != f.target) {
+      runs_.push_back({f.target, std::string()});
+    }
+    std::string& u = runs_.back().expression;
+    if (!u.empty()) u += " or ";
+    u += filter_expr(f);
   }
-  compile_tables();
+  for (const ClassRun& run : runs_) plan_.add(*filter::parse_filter(run.expression));
 }
 
-void AppClassifier::compile_tables() {
-  port_first_[0].assign(65536, kNoFilter);
-  port_first_[1].assign(65536, kNoFilter);
-
-  std::map<std::uint32_t, std::uint16_t> asn_min;
-  for (std::size_t i = 0; i < filters_.size(); ++i) {
-    const auto index = static_cast<std::uint16_t>(i);
-    const AppFilter& f = filters_[i];
-    const bool has_as = !f.asns.empty();
-    const bool has_port = !f.ports.empty();
-
-    if (has_port && !has_as) {
-      bool has_other_proto = false;
-      for (const PortKey k : f.ports) {
-        const int t = port_table_of(k.proto);
-        if (t < 0) {
-          has_other_proto = true;
-          continue;
-        }
-        std::uint16_t& slot = port_first_[static_cast<std::size_t>(t)][k.port];
-        if (slot == kNoFilter) slot = index;  // ascending i => first match
-      }
-      if (has_other_proto) other_port_filters_.push_back(index);
-    } else if (has_as && !has_port) {
-      for (const Asn a : f.asns) {
-        const auto [it, inserted] = asn_min.try_emplace(a.value(), index);
-        (void)it;
-        (void)inserted;  // earlier (lower) index wins; try_emplace keeps it
-      }
-    } else {
-      // Combined AS + port criterion: indexed by ASN, port list checked at
-      // lookup (combined filters are few and their port lists tiny).
-      for (const Asn a : f.asns) combined_.push_back({a.value(), index});
-    }
+void AppClassifier::classify(std::span<const flow::FlowRecord> records,
+                             const filter::FlowColumns& cols,
+                             std::span<std::optional<AppClass>> out) const {
+  TRACE_SPAN_ARG("classify", "classify.batch", records.size());
+  const std::size_t mw = plan_.mask_words();
+  std::vector<std::uint64_t>& masks = g_masks;
+  masks.resize(records.size() * mw);
+  plan_.evaluate(records, cols, masks);
+  // Output k is run k, so the lowest set bit is the first matching run,
+  // and within a run every filter has the run's class.
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::uint64_t* m = masks.data() + i * mw;
+    std::size_t w = 0;
+    while (w < mw && m[w] == 0) ++w;
+    out[i] = w == mw ? std::nullopt
+                     : std::optional(runs_[w * 64 + static_cast<std::size_t>(
+                                                        std::countr_zero(m[w]))]
+                                         .app_class);
   }
-
-  asn_first_.assign(asn_min.begin(), asn_min.end());
-  std::sort(combined_.begin(), combined_.end(),
-            [](const CombinedEntry& a, const CombinedEntry& b) {
-              return a.asn != b.asn ? a.asn < b.asn : a.index < b.index;
-            });
-}
-
-std::uint16_t AppClassifier::match_index(Asn src, Asn dst, PortKey port) const {
-  std::uint16_t best = kNoFilter;
-
-  // Port-only filters: one table load (TCP/UDP) or a scan of the rare
-  // filters naming port-less protocols.
-  const int t = port_table_of(port.proto);
-  if (t >= 0) {
-    best = port_first_[static_cast<std::size_t>(t)][port.port];
-  } else {
-    for (const std::uint16_t index : other_port_filters_) {
-      if (port_matches(filters_[index], port)) {
-        best = index;
-        break;
-      }
-    }
-  }
-
-  // ASN-only filters: binary search for src and dst.
-  const auto asn_lookup = [&](std::uint32_t a) {
-    const auto it = std::lower_bound(
-        asn_first_.begin(), asn_first_.end(), a,
-        [](const auto& e, std::uint32_t v) { return e.first < v; });
-    if (it != asn_first_.end() && it->first == a && it->second < best) {
-      best = it->second;
-    }
-  };
-  asn_lookup(src.value());
-  asn_lookup(dst.value());
-
-  // Combined filters: both criteria must hold.
-  const auto combined_lookup = [&](std::uint32_t a) {
-    auto it = std::lower_bound(
-        combined_.begin(), combined_.end(), a,
-        [](const CombinedEntry& e, std::uint32_t v) { return e.asn < v; });
-    for (; it != combined_.end() && it->asn == a; ++it) {
-      if (it->index < best && port_matches(filters_[it->index], port)) {
-        best = it->index;
-        break;  // entries per asn are index-sorted; first hit is minimal
-      }
-    }
-  };
-  combined_lookup(src.value());
-  combined_lookup(dst.value());
-
-  return best;
 }
 
 std::optional<AppClass> AppClassifier::classify(const flow::FlowRecord& r,
                                                 const AsView& view) const {
-  const std::uint16_t index =
-      match_index(view.src_as(r), view.dst_as(r), r.service_port());
-  if (index == kNoFilter) return std::nullopt;
-  return filters_[index].target;
-}
-
-void AppClassifier::classify_columns(std::size_t n, const std::uint32_t* service,
-                                     const std::uint32_t* src_as,
-                                     const std::uint32_t* dst_as,
-                                     std::span<std::optional<AppClass>> out,
-                                     ClassifyCache& cache) const {
-  TRACE_SPAN_ARG("classify", "classify.columns", n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t s = service[i];
-    const std::uint32_t src = src_as[i];
-    const std::uint32_t dst = dst_as[i];
-    const std::size_t h = (s * 0x9e3779b1u ^ src * 0x85ebca6bu ^
-                           dst * 0xc2b2ae35u) &
-                          (ClassifyCache::kSlots - 1);
-    ClassifyCache::Slot& slot = cache.slots_[h];
-    std::uint16_t index;
-    if (slot.valid && slot.service == s && slot.src == src && slot.dst == dst) {
-      index = slot.index;
-    } else {
-      const PortKey port{static_cast<IpProtocol>(s >> 16),
-                         static_cast<std::uint16_t>(s & 0xffff)};
-      index = match_index(Asn(src_as[i]), Asn(dst_as[i]), port);
-      slot = ClassifyCache::Slot{s, src, dst, index, true};
-    }
-    out[i] = index == kNoFilter ? std::nullopt
-                                : std::optional(filters_[index].target);
-  }
+  filter::FlowColumns cols;
+  cols.service = {filter::detail::service_key(r)};
+  cols.src_as = {view.src_as(r).value()};
+  cols.dst_as = {view.dst_as(r).value()};
+  std::optional<AppClass> out;
+  classify({&r, 1}, cols, {&out, 1});
+  return out;
 }
 
 AppClassifier AppClassifier::table1() {
@@ -321,9 +280,7 @@ ClassHeatmap::ClassHeatmap(const AppClassifier& classifier,
 void ClassHeatmap::add_batch(std::span<const flow::FlowRecord> batch,
                              const filter::FlowColumns& cols) {
   batch_scratch_.resize(batch.size());
-  classifier_.classify_columns(batch.size(), cols.service.data(),
-                               cols.src_as.data(), cols.dst_as.data(),
-                               batch_scratch_, classify_cache_);
+  classifier_.classify(batch, cols, batch_scratch_);
   // Inline deposit with the per-class week vectors resolved once per batch
   // (volume_ is a node-based map, so the pointers are stable).
   std::array<std::vector<std::array<double, 168>>*, synth::kAppClassCount>

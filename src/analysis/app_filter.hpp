@@ -8,11 +8,14 @@
 // The table1() registry reproduces Table 1's per-class filter/ASN/port
 // counts exactly.
 //
-// classify() runs on a compiled form of the registry (DESIGN.md §9): a
-// per-protocol port -> first-matching-filter table, a sorted ASN -> filter
-// vector and a small combined (AS + port) index, all carrying the *lowest*
-// matching filter index so first-match priority is preserved exactly. A
-// differential fuzz test pins it against the interpreted registry scan
+// The registry is classified through one filter::FusedPlan (DESIGN.md §9,
+// §12): each maximal run of consecutive same-class filters is lowered to
+// the filter DSL as the union of its filters and becomes one plan output.
+// A record's class is the class of its lowest set output bit, which is
+// exactly first-match over the registry in any order. The same lowering
+// feeds dsl_monitor_definitions (table1_dsl.hpp), so the classifier and the
+// collector-side Table-1 objects share one implementation. A differential
+// fuzz test pins it against the interpreted registry scan
 // (tests/oracle/classify_oracle.hpp).
 #pragma once
 
@@ -26,40 +29,14 @@
 
 #include "analysis/as_view.hpp"
 #include "analysis/day_cache.hpp"
+#include "filter/fused.hpp"
 #include "flow/flow_record.hpp"
 #include "net/civil_time.hpp"
 #include "synth/app_class.hpp"
 
-namespace lockdown::filter {
-struct FlowColumns;
-}  // namespace lockdown::filter
-
 namespace lockdown::analysis {
 
 using synth::AppClass;
-
-/// Caller-owned memo table for AppClassifier::classify_columns: record
-/// streams repeat a small set of (service, src AS, dst AS) triples, so the
-/// compiled lookup (port table + four binary searches) runs once per
-/// distinct triple instead of once per record. Direct-mapped: a colliding
-/// triple simply recomputes and overwrites. Owned by the aggregator (one
-/// per scan lane), never by the shared immutable classifier.
-class ClassifyCache {
- public:
-  ClassifyCache() : slots_(kSlots) {}
-
- private:
-  friend class AppClassifier;
-  static constexpr std::size_t kSlots = 4096;  // power of two
-  struct Slot {
-    std::uint32_t service = 0;
-    std::uint32_t src = 0;
-    std::uint32_t dst = 0;
-    std::uint16_t index = 0;
-    bool valid = false;
-  };
-  std::vector<Slot> slots_;
-};
 
 struct AppFilter {
   std::string name;
@@ -75,34 +52,40 @@ struct AppFilter {
 
 class AppClassifier {
  public:
-  /// Validates (every filter constrains something, names are unique,
-  /// registry fits the compiled index) and compiles the flat tables.
+  /// Validates (every filter constrains something, names are unique) and
+  /// lowers the registry into its fused plan.
   explicit AppClassifier(std::vector<AppFilter> filters);
 
   /// The paper's filter registry (Table 1's nine classes).
   [[nodiscard]] static AppClassifier table1();
 
-  /// First matching filter's class in registry order; nullopt if nothing
-  /// matches. Flat-table lookup: O(1) on the port axis plus two binary
-  /// searches on the AS axis.
+  /// The one batch entry: out[i] is the class of the first filter (registry
+  /// order) that records[i] satisfies, nullopt if none does. `cols` must
+  /// hold the service and endpoint-AS columns built over exactly `records`
+  /// (filter::FlowColumns::build); `out` at least records.size() long.
+  /// Safe to call concurrently (the plan is immutable; scratch is
+  /// thread_local).
+  void classify(std::span<const flow::FlowRecord> records,
+                const filter::FlowColumns& cols,
+                std::span<std::optional<AppClass>> out) const;
+
+  /// Single-record adapter over the batch entry, resolving endpoint ASes
+  /// through `view`.
   [[nodiscard]] std::optional<AppClass> classify(const flow::FlowRecord& r,
                                                  const AsView& view) const;
 
-  /// Columnar batch classification over pre-resolved per-batch columns
-  /// (filter::FlowColumns layout): `service` is the (proto << 16 | port)
-  /// key column, `src_as`/`dst_as` the resolved endpoint AS columns, each
-  /// `n` elements. Same results as classify() over the same records, but
-  /// skips the per-record service_port()/trie work, and repeated
-  /// (service, src AS, dst AS) triples hit the caller-owned memo `cache`
-  /// instead of re-running the compiled lookup.
-  void classify_columns(std::size_t n, const std::uint32_t* service,
-                        const std::uint32_t* src_as,
-                        const std::uint32_t* dst_as,
-                        std::span<std::optional<AppClass>> out,
-                        ClassifyCache& cache) const;
-
   [[nodiscard]] const std::vector<AppFilter>& filters() const noexcept {
     return filters_;
+  }
+
+  /// One maximal run of consecutive same-class filters: its class and the
+  /// union of its filters in the filter DSL. Run k is plan output k.
+  struct ClassRun {
+    AppClass app_class = AppClass::kOther;
+    std::string expression;
+  };
+  [[nodiscard]] const std::vector<ClassRun>& runs() const noexcept {
+    return runs_;
   }
 
   /// Table 1 rows: per class, number of filters, distinct ASNs, distinct
@@ -116,33 +99,9 @@ class AppClassifier {
   [[nodiscard]] std::vector<ClassStats> table_stats() const;
 
  private:
-  /// Sentinel for "no filter matches" in the compiled tables. Filter
-  /// indices are uint16; the constructor rejects registries that large.
-  static constexpr std::uint16_t kNoFilter = 0xffff;
-
-  void compile_tables();
-  /// Lowest-index matching filter, or kNoFilter.
-  [[nodiscard]] std::uint16_t match_index(net::Asn src, net::Asn dst,
-                                          flow::PortKey port) const;
-
   std::vector<AppFilter> filters_;
-
-  // --- compiled form (built once by the constructor) ----------------------
-  // port_first_[proto][port]: lowest index of a *port-only* filter matching
-  // (proto, port); proto 0 = TCP, 1 = UDP. Port-only filters naming other
-  // protocols (GRE/ESP/ICMP carry no port) land in other_port_filters_ and
-  // are scanned only for such records.
-  std::array<std::vector<std::uint16_t>, 2> port_first_;
-  std::vector<std::uint16_t> other_port_filters_;
-  // Sorted (asn, lowest index of an *asn-only* filter naming it).
-  std::vector<std::pair<std::uint32_t, std::uint16_t>> asn_first_;
-  // Combined (AS + port) filters, one entry per (asn, filter), sorted by
-  // asn; the port criterion is checked against the filter's own port list.
-  struct CombinedEntry {
-    std::uint32_t asn;
-    std::uint16_t index;
-  };
-  std::vector<CombinedEntry> combined_;
+  std::vector<ClassRun> runs_;
+  filter::FusedPlan plan_;
 };
 
 /// Fig 9 heatmaps: per application class, hourly volume over a base week
@@ -207,8 +166,6 @@ class ClassHeatmap {
   /// Scratch for add_batch (ClassHeatmap is single-threaded, like every
   /// analysis aggregator; the scan engine gives each lane its own).
   std::vector<std::optional<AppClass>> batch_scratch_;
-  /// Memo for add_batch's classification.
-  ClassifyCache classify_cache_;
   // volume[class][week][hour-slot 0..167]
   std::map<AppClass, std::vector<std::array<double, 168>>> volume_;
 };

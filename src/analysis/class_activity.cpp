@@ -10,9 +10,7 @@ namespace lockdown::analysis {
 void ClassActivityTracker::add_batch(std::span<const flow::FlowRecord> records,
                                      const filter::FlowColumns& cols) {
   batch_scratch_.resize(records.size());
-  classifier_.classify_columns(records.size(), cols.service.data(),
-                               cols.src_as.data(), cols.dst_as.data(),
-                               batch_scratch_, classify_cache_);
+  classifier_.classify(records, cols, batch_scratch_);
   const net::IpAddressHash hash;
   // Cache the current hour's accumulator locally: near-sorted streams keep
   // hitting the same std::map node, and map nodes are pointer-stable.

@@ -69,8 +69,6 @@ class ClassActivityTracker {
   AppClass cls_;
   std::map<std::int64_t, HourAcc> hours_;
   std::vector<std::optional<AppClass>> batch_scratch_;
-  /// Memo for add_batch's classification.
-  ClassifyCache classify_cache_;
 };
 
 }  // namespace lockdown::analysis

@@ -1,15 +1,11 @@
 #include "analysis/table1_dsl.hpp"
 
 #include <cctype>
-#include <map>
 #include <stdexcept>
 
 namespace lockdown::analysis {
 
 namespace {
-
-using flow::IpProtocol;
-using flow::PortKey;
 
 [[nodiscard]] std::string class_slug(AppClass cls) {
   std::string out;
@@ -25,97 +21,32 @@ using flow::PortKey;
   return out;
 }
 
-[[nodiscard]] const char* proto_keyword(IpProtocol proto) {
-  switch (proto) {
-    case IpProtocol::kIcmp: return "icmp";
-    case IpProtocol::kTcp: return "tcp";
-    case IpProtocol::kUdp: return "udp";
-    case IpProtocol::kGre: return "gre";
-    case IpProtocol::kEsp: return "esp";
-  }
-  return "0";
-}
-
-/// Port criterion of one AppFilter: service-port membership per protocol.
-/// `port N` (no direction) matches FlowRecord::service_port().port, so
-/// `proto P and port N` is exactly PortKey{P, N} equality -- GRE/ESP/ICMP
-/// entries carry service port 0.
-[[nodiscard]] std::string ports_expr(const std::vector<PortKey>& ports) {
-  std::map<IpProtocol, std::string> by_proto;
-  for (const PortKey& k : ports) {
-    std::string& list = by_proto[k.proto];
-    if (!list.empty()) list += ',';
-    list += std::to_string(k.port);
-  }
-  std::string out;
-  for (const auto& [proto, list] : by_proto) {
-    if (!out.empty()) out += " or ";
-    out += "(proto ";
-    out += proto_keyword(proto);
-    out += " and port ";
-    out += list;
-    out += ")";
-  }
-  return by_proto.size() > 1 ? "(" + out + ")" : out;
-}
-
-/// `asn A or asn B` membership of either endpoint -- AppFilter's AS
-/// criterion (src OR dst in the list) is the DSL's undirected asn term.
-[[nodiscard]] std::string asns_expr(const std::vector<net::Asn>& asns) {
-  std::string out = "asn ";
-  for (std::size_t i = 0; i < asns.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(asns[i].value());
-  }
-  return out;
-}
-
-[[nodiscard]] std::string filter_expr(const AppFilter& f) {
-  const bool has_as = !f.asns.empty();
-  const bool has_port = !f.ports.empty();
-  if (has_as && has_port) {
-    return "(" + asns_expr(f.asns) + " and " + ports_expr(f.ports) + ")";
-  }
-  if (has_as) return "(" + asns_expr(f.asns) + ")";
-  return ports_expr(f.ports);
-}
-
 }  // namespace
 
 std::vector<MonitorDefinition> dsl_monitor_definitions(
     const AppClassifier& classifier) {
-  // Collect the contiguous class runs of the registry.
-  std::vector<std::pair<AppClass, std::string>> unions;
-  for (const AppFilter& f : classifier.filters()) {
-    if (unions.empty() || unions.back().first != f.target) {
-      for (const auto& [cls, expr] : unions) {
-        if (cls == f.target) {
-          throw std::invalid_argument(
-              "dsl_monitor_definitions: registry is not class-contiguous "
-              "(class of '" + f.name + "' reappears)");
-        }
-      }
-      unions.emplace_back(f.target, std::string());
-    }
-    std::string& u = unions.back().second;
-    if (!u.empty()) u += " or ";
-    u += filter_expr(f);
-  }
-
   // First-match priority across classes becomes a not-any-earlier-class
   // guard: object k matches exactly the records classify() assigns class k.
   std::vector<MonitorDefinition> defs;
-  defs.reserve(unions.size());
+  defs.reserve(classifier.runs().size());
   std::string guard;
-  for (const auto& [cls, expr] : unions) {
+  for (const AppClassifier::ClassRun& run : classifier.runs()) {
+    for (const MonitorDefinition& def : defs) {
+      if (def.app_class == run.app_class) {
+        throw std::invalid_argument(
+            "dsl_monitor_definitions: registry is not class-contiguous "
+            "(class " + def.name + " reappears)");
+      }
+    }
     MonitorDefinition def;
-    def.name = class_slug(cls);
-    def.app_class = cls;
-    def.expression =
-        guard.empty() ? expr : "(" + expr + ") and not (" + guard + ")";
+    def.name = class_slug(run.app_class);
+    def.app_class = run.app_class;
+    def.expression = guard.empty()
+                         ? run.expression
+                         : "(" + run.expression + ") and not (" + guard + ")";
     defs.push_back(std::move(def));
     if (!guard.empty()) guard += " or ";
-    guard += expr;
+    guard += run.expression;
   }
   return defs;
 }

@@ -1,14 +1,16 @@
-// Table 1 re-expressed in the filter DSL: generates one monitoring-object
-// definition per application class from an AppClassifier registry, so the
+// Table 1 re-expressed as monitoring objects: one monitoring-object
+// definition per application class of an AppClassifier registry, so the
 // generic filter/monitor layer reproduces the paper's §5 classification
 // without any hardcoded class logic (DESIGN.md §12).
 //
-// The classifier resolves overlap by first-match priority over a
-// class-contiguous registry; monitoring objects route every batch to every
-// matching object. The generator bridges the two semantics with precedence
-// guards: class k's expression is (union of class-k filters) and not
-// (union of all earlier classes' filters). A synthesized-slice test pins
-// the per-class flow/byte totals to AppClassifier::classify exactly.
+// Each class's union is the classifier's own lowering of its run of filters
+// (AppClassifier::runs()), the expression the classifier's fused plan
+// evaluates. The classifier resolves overlap by first-match priority;
+// monitoring objects route every batch to every matching object. The
+// generator bridges the two semantics with precedence guards: class k's
+// expression is (union of class-k filters) and not (union of all earlier
+// classes' filters). A synthesized-slice test pins the per-class flow/byte
+// totals to the interpreted registry scan (oracle::classify_reference).
 #pragma once
 
 #include <string>

@@ -1,7 +1,7 @@
-// Compiled app-classification tables (DESIGN.md section 9): differential
-// fuzz of the flat classify() against the interpreted registry scan
-// (oracle::classify_reference, tests/oracle/), the columnar batch path,
-// registry validation, and the ClassHeatmap week binary search.
+// App classification through the fused filter plan (DESIGN.md section 9):
+// differential fuzz of the batch entry against the interpreted registry
+// scan (oracle::classify_reference, tests/oracle/) across batch sizes and
+// mask words, registry validation, and the ClassHeatmap week binary search.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -85,35 +85,96 @@ std::vector<flow::FlowRecord> fuzz_flows(const AppClassifier& classifier,
   return out;
 }
 
+/// Classifies `flows` through the batch entry in consecutive batches whose
+/// sizes cycle through `sizes` (each batch with its own FlowColumns, as a
+/// scan lane builds them) and counts disagreements with the oracle.
+std::size_t batch_mismatches(const AppClassifier& c, const AsView& view,
+                             const synth::AsRegistry& reg,
+                             const std::vector<flow::FlowRecord>& flows,
+                             std::span<const std::size_t> sizes) {
+  filter::FlowColumns cols;
+  std::vector<std::optional<AppClass>> out;
+  std::size_t mismatches = 0;
+  std::size_t k = 0;
+  for (std::size_t base = 0; base < flows.size(); ++k) {
+    const std::size_t n = std::min(sizes[k % sizes.size()], flows.size() - base);
+    const auto batch = std::span<const flow::FlowRecord>(flows).subspan(base, n);
+    cols.build(batch, &reg.trie());
+    out.assign(n, AppClass::kOther);  // stale values must be overwritten
+    c.classify(batch, cols, out);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (out[i] != oracle::classify_reference(c, batch[i], view)) ++mismatches;
+    }
+    base += n;
+  }
+  return mismatches;
+}
+
+/// Around the plan's 64-record words and 512-record chunks, and a whole
+/// scan chunk.
+constexpr std::size_t kBatchSizes[] = {1, 63, 64, 65, 511, 512, 513, 4096};
+
 TEST_F(FlatClassifierTest, DifferentialFuzzMillionFlows) {
   const auto flows = fuzz_flows(classifier_, 1'000'000, 20200319);
-  std::size_t mismatches = 0;
+  ASSERT_EQ(batch_mismatches(classifier_, view_, reg_, flows, kBatchSizes), 0u);
   std::size_t classified = 0;
   for (const auto& r : flows) {
-    const auto flat = classifier_.classify(r, view_);
-    const auto ref = oracle::classify_reference(classifier_, r, view_);
-    if (flat != ref) ++mismatches;
-    classified += ref.has_value() ? 1 : 0;
+    classified += oracle::classify_reference(classifier_, r, view_).has_value();
   }
-  ASSERT_EQ(mismatches, 0u);
   // The bias in fuzz_flows must actually produce matches, or this test
   // only ever exercises the all-miss path.
   EXPECT_GT(classified, flows.size() / 10);
   EXPECT_LT(classified, flows.size());
 }
 
-TEST_F(FlatClassifierTest, BatchMatchesSingleRecordClassification) {
-  const auto flows = fuzz_flows(classifier_, 10'000, 7);
-  filter::FlowColumns cols;
-  cols.build(flows, &reg_.trie());
-  ClassifyCache cache;
-  std::vector<std::optional<AppClass>> batched(flows.size());
-  classifier_.classify_columns(flows.size(), cols.service.data(),
-                               cols.src_as.data(), cols.dst_as.data(), batched,
-                               cache);
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    EXPECT_EQ(batched[i], classifier_.classify(flows[i], view_)) << i;
+TEST_F(FlatClassifierTest, NonContiguousRegistryCrossesMaskWords) {
+  // 150 filters whose class changes at every step: 150 plan outputs in
+  // three mask words, so first-match must scan past the first word. Small
+  // shared ASN and port pools make filters overlap, so priority decides
+  // most matches.
+  constexpr AppClass kClasses[] = {AppClass::kWebConf, AppClass::kGaming,
+                                   AppClass::kVod, AppClass::kCdn};
+  std::mt19937_64 rng(64);
+  const auto pick_asns = [&] {
+    std::vector<Asn> v;
+    for (std::size_t i = 0, n = 1 + rng() % 3; i < n; ++i) {
+      v.emplace_back(static_cast<std::uint32_t>(64500 + rng() % 40));
+    }
+    return v;
+  };
+  const auto pick_ports = [&] {
+    std::vector<PortKey> v;
+    for (std::size_t i = 0, n = 1 + rng() % 3; i < n; ++i) {
+      const auto roll = rng() % 8;
+      v.push_back(roll == 0   ? PortKey{IpProtocol::kGre, 0}
+                  : roll == 1 ? PortKey{IpProtocol::kEsp, 0}
+                  : PortKey{roll < 5 ? IpProtocol::kTcp : IpProtocol::kUdp,
+                            static_cast<std::uint16_t>(7000 + rng() % 60)});
+    }
+    return v;
+  };
+  std::vector<AppFilter> filters;
+  for (std::size_t i = 0; i < 150; ++i) {
+    AppFilter f{"f" + std::to_string(i), kClasses[i % 4], {}, {}};
+    const auto shape = rng() % 3;
+    if (shape != 1) f.asns = pick_asns();
+    if (shape != 0) f.ports = pick_ports();
+    filters.push_back(std::move(f));
   }
+  const AppClassifier c(filters);
+  ASSERT_EQ(c.runs().size(), 150u);
+  const AppClassifier first_word(
+      std::vector<AppFilter>(filters.begin(), filters.begin() + 64));
+
+  const auto flows = fuzz_flows(c, 200'000, 65);
+  ASSERT_EQ(batch_mismatches(c, view_, reg_, flows, kBatchSizes), 0u);
+  // Some records' first match must lie past output 63.
+  std::size_t past_first_word = 0;
+  for (const auto& r : flows) {
+    past_first_word += oracle::classify_reference(c, r, view_).has_value() &&
+                       !oracle::classify_reference(first_word, r, view_);
+  }
+  EXPECT_GT(past_first_word, 100u);
 }
 
 TEST_F(FlatClassifierTest, FirstMatchPriorityOnSharedPort) {
@@ -142,8 +203,9 @@ TEST_F(FlatClassifierTest, FirstMatchPriorityOnSharedPort) {
 }
 
 TEST_F(FlatClassifierTest, PortlessProtocolFiltersUseTheFallbackScan) {
-  // GRE/ESP/ICMP carry no port table; filters naming such PortKeys must
-  // still match via the fallback list, with first-match priority intact.
+  // GRE/ESP/ICMP carry service port 0; filters naming such PortKeys lower
+  // to `proto P and port 0` and must match with first-match priority
+  // intact.
   std::vector<AppFilter> filters;
   filters.push_back({"tcp-443", AppClass::kCdn, {}, {PortKey{IpProtocol::kTcp, 443}}});
   filters.push_back({"gre", AppClass::kVod, {}, {PortKey{IpProtocol::kGre, 0}}});

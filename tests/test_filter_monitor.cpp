@@ -23,6 +23,7 @@
 #include "flow/ipfix.hpp"
 #include "flow/pipeline.hpp"
 #include "obs/metrics.hpp"
+#include "oracle/classify_oracle.hpp"
 #include "oracle/filter_oracle.hpp"
 #include "runtime/sharded_daemon.hpp"
 #include "synth/as_registry.hpp"
@@ -246,12 +247,14 @@ TEST(MonitorTable1, DslObjectsReproduceClassifierExactly) {
   const auto records = synthesize(vp.model, registry, 19, 21);
   ASSERT_GT(records.size(), 1000u);
 
-  // Reference: the compiled first-match classifier.
+  // Reference: the interpreted first-match registry scan. The classifier
+  // itself runs the same lowering as the objects, so it is no independent
+  // reference.
   const analysis::AppClassifier classifier = analysis::AppClassifier::table1();
   const analysis::AsView as_view(registry.trie());
   std::map<synth::AppClass, Totals> expected;
   for (const FlowRecord& r : records) {
-    const auto cls = classifier.classify(r, as_view);
+    const auto cls = oracle::classify_reference(classifier, r, as_view);
     if (!cls) continue;
     Totals& t = expected[*cls];
     ++t.flows;
@@ -286,6 +289,60 @@ TEST(MonitorTable1, DslObjectsReproduceClassifierExactly) {
   std::uint64_t classified = 0;
   for (const auto& [cls, t] : expected) classified += t.flows;
   EXPECT_EQ(dsl_flows, classified);
+}
+
+TEST(MonitorTable1, DefinitionStringsArePinned) {
+  // The Table-1 objects are the collector's monitor set (and the
+  // classifier's plan outputs): pin every byte. Object k is union k
+  // guarded by the unions of all earlier classes.
+  const std::pair<const char*, std::string> kUnions[] = {
+      {"web_conf",
+       "(asn 8075 and (proto udp and port 3480)) or (proto udp and port 3480) "
+       "or (proto udp and port 8801) or (proto udp and port 8802) or "
+       "(proto udp and port 3478) or (proto udp and port 3479) or "
+       "(proto tcp and port 5004)"},
+      {"gaming",
+       "(proto udp and port 27000,27001,27002,27003,27004,27005,27006,27007,"
+       "27008,27009,27010,27011,27012,27013,27014,27015,27016,27017,27018,"
+       "27019,27020,27021,27022,27023,27024,27025,27026,27027,27028,27029,"
+       "27030,27031) or (proto udp and port 3074,3075,3076,3077,3078,3079) or "
+       "(proto tcp and port 25565,3724,1119,6112,6113,6114,6115,6116,6117,"
+       "6118,6119,30000,30001,30002,30003,30004,30005,30006,30007) or "
+       "(asn 6507) or (asn 32590) or (asn 57976) or (asn 11426) or "
+       "(asn 33353)"},
+      {"messaging",
+       "(proto tcp and port 5222) or (proto tcp and port 4244,5242) or "
+       "(proto udp and port 5243,9785)"},
+      {"email", "(proto tcp and port 25,110,143,465,587,993,995,2525,4190,106)"},
+      {"coll_working",
+       "(asn 19679) or (asn 64621) or (proto tcp and port 8443) or "
+       "(proto tcp and port 5005) or (proto tcp and port 7777,7780) or "
+       "(proto tcp and port 8444,8445) or (proto udp and port 7778,7779) or "
+       "(proto tcp and port 9443)"},
+      {"social_media",
+       "(asn 32934) or (asn 13414) or (asn 138699) or "
+       "(asn 47541 and (proto tcp and port 443))"},
+      {"vod",
+       "(asn 2906) or (asn 64600) or (asn 64601) or (asn 64602) or (asn 64603)"},
+      {"educational",
+       "(asn 680) or (asn 766) or (asn 20965) or (asn 11537) or (asn 1103) or "
+       "(asn 2200) or (asn 137) or (asn 786) or (asn 1930)"},
+      {"cdn",
+       "(asn 20940) or (asn 13335) or (asn 22822) or (asn 15133) or "
+       "(asn 54113) or (asn 60068) or (asn 12989) or (asn 30081)"},
+  };
+  const auto defs =
+      analysis::dsl_monitor_definitions(analysis::AppClassifier::table1());
+  ASSERT_EQ(defs.size(), std::size(kUnions));
+  std::string guard;
+  for (std::size_t k = 0; k < defs.size(); ++k) {
+    const auto& [name, expr] = kUnions[k];
+    EXPECT_EQ(defs[k].name, name);
+    EXPECT_EQ(defs[k].expression,
+              guard.empty() ? expr : "(" + expr + ") and not (" + guard + ")")
+        << name;
+    guard += (guard.empty() ? "" : " or ") + expr;
+  }
 }
 
 // --- mixed campus + VPN scenario against ground truth ----------------------
